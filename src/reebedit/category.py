@@ -400,14 +400,17 @@ def induced_map(
         gcf = complexify(p_f.target)
     h = {w: xi(gcf.values[w]) for w in gcf.complex.vertices}
     out = CellMap(gcf.complex, h, p_g.target, {}, gcf)
-    maximal = p_f.source.maximal_simplices()
+    # (slot, cell) -> first maximal simplex over that cell in that slot
+    first_over: dict[tuple[Slot, Cell], Simplex] = {}
+    for sig in p_f.source.maximal_simplices():
+        for slot in p_f.slots_of(sig):
+            first_over.setdefault((slot, p_f.assignment[sig][slot]), sig)
 
     def fiber_simplex(u: Scalar, cell: Cell) -> Simplex:
-        for sig in maximal:
-            lo, hi = p_f.simplex_range(sig)
-            if lo <= u <= hi and p_f.cell_at(sig, u) == cell:
-                return sig
-        raise ValueError(f"no source simplex maps onto {cell} at value {u}")
+        sig = first_over.get((p_f.slot_of(u), cell))
+        if sig is None:
+            raise ValueError(f"no source simplex maps onto {cell} at value {u}")
+        return sig
 
     assignment: dict[Simplex, dict[Slot, Cell]] = {}
     for s in gcf.complex.simplices:

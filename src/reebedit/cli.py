@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import generators, serialize
 from .editdist import (
@@ -259,18 +258,12 @@ def cmd_homotopy(args) -> int:
     print(f"cost <= ||f-g||: {'OK' if ok else 'VIOLATED'}")
     if args.output:
         witness = {
-            "lambdas": [format_scalar(t) for t in _lambdas_of(z)],
+            "lambdas": [format_scalar(t) for t in z.lambdas],
             "graphs": [serialize.graph_to_dict(r) for r in z.graphs],
             "cost": format_scalar(cost),
         }
         serialize.dump_json(witness, args.output)
     return 0 if ok else AXIOM_ERROR
-
-
-def _lambdas_of(z):
-    # graph count determines the schedule length; values are recoverable from
-    # the graphs themselves only indirectly, so report stage indices' spans
-    return [Fraction(i, max(1, len(z.graphs) - 1)) for i in range(len(z.graphs))]
 
 
 def main(argv=None) -> int:

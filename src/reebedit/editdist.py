@@ -138,10 +138,14 @@ class ZigzagDiagram:
 
     graphs: list[ReebGraph]
     maps: list[tuple[CellMap, CellMap]]  # per space: (to graphs[i], graphs[i+1])
+    # homotopy parameter of each graph, when the zigzag comes from a homotopy
+    lambdas: Optional[list[Scalar]] = None
 
     def validate(self) -> None:
         if len(self.graphs) != len(self.maps) + 1:
             raise ValueError("need one space per consecutive graph pair")
+        if self.lambdas is not None and len(self.lambdas) != len(self.graphs):
+            raise ValueError("need one homotopy parameter per graph")
         for i, (ml, mr) in enumerate(self.maps):
             if not _same_graph(ml.target, self.graphs[i]):
                 raise ValueError(f"space {i}: left target is not graph {i}")
@@ -164,17 +168,19 @@ def zigzag_cost(z: ZigzagDiagram) -> Scalar:
     max_i f_i - min_j f_j, exactly.
 
     The limit's points are chains (x_1, ..., x_k) agreeing at the interface
-    graphs, so sup (f_i - f_j) decomposes over index pairs, and for a fixed
-    start index the quantity "best achievable f_i over all partial chains
-    landing at y" is a piecewise-linear function on each interface graph.
-    Propagating that function through one space at a time (a max-plus sweep)
-    avoids enumerating the cells of the full limit, whose count grows
-    multiplicatively with the number of spaces.  Partial chains always
-    extend to full ones because every map is surjective, so segment optima
-    equal limit optima.
+    graphs, so the spread is the sup of |f_i - f_j| over index pairs i < j.
+    One forward max-plus pass computes all of them: M+_t(y) is the best f_i
+    over i <= t and all partial chains from graph i landing at y on graph
+    t, a piecewise-linear function on the graph, and likewise M-_t for
+    -f_i.  Pushing through one space distributes over pointwise max, so
+    M+_{t+1} = max(push_t(M+_t), r_{t+1}), and the best difference ending
+    at graph t+1 is read off M+_{t+1} - r_{t+1} (and r_{t+1} + M-_{t+1}).
+    That is two pushes per space and never enumerates the cells of the
+    full limit, whose count grows multiplicatively with the number of
+    spaces.  Partial chains always extend to full ones because every map
+    is surjective, so segment optima equal limit optima.
     """
-    k = len(z.maps)
-    if k == 1:
+    if len(z.maps) == 1:
         # one space, two pulled-back functions: both linear per simplex
         ml, mr = z.maps[0]
         return max(abs(ml.h[v] - mr.h[v]) for v in ml.source.vertices)
@@ -182,14 +188,12 @@ def zigzag_cost(z: ZigzagDiagram) -> Scalar:
         # non-graph spaces: fall back to enumerating the limit's cells
         return zigzag_limit(z.maps).spread()
     best = ZERO
-    for i, g_start in enumerate(z.graphs):
-        f_plus = _value_pl(g_start, 1)  # propagates max of r_i
-        f_minus = _value_pl(g_start, -1)  # propagates max of -r_i
-        for t in range(i, k):
-            left, right = z.maps[t]
-            f_plus = _push(f_plus, left, right)
-            f_minus = _push(f_minus, left, right)
-            best = max(best, _best_diff(f_plus, -1), _best_diff(f_minus, 1))
+    f_plus = _value_pl(z.graphs[0], 1)  # max of r_i over earlier graphs
+    f_minus = _value_pl(z.graphs[0], -1)  # max of -r_i over earlier graphs
+    for left, right in z.maps:
+        f_plus = _push(f_plus, left, right, 1)
+        f_minus = _push(f_minus, left, right, -1)
+        best = max(best, _best_diff(f_plus, -1), _best_diff(f_minus, 1))
     return best
 
 
@@ -293,8 +297,9 @@ def _g_max(G) -> Scalar:
     return max(max(vm, va, vp) for _, vm, va, vp in G)
 
 
-def _push(F: _GraphPL, left: CellMap, right: CellMap) -> _GraphPL:
-    """H(y) = max { F(left(x)) : right(x) = y }, for graph-sourced maps."""
+def _push(F: _GraphPL, left: CellMap, right: CellMap, sign: int) -> _GraphPL:
+    """H(y) = max(sign * value(y), max { F(left(x)) : right(x) = y }), for
+    graph-sourced maps: one step of zigzag_cost's forward pass."""
     gc = left._graph()
     target = right.target
     seg_by_edge: dict[int, list] = {}  # edge -> (w0, w1, v0, v1)
@@ -346,15 +351,15 @@ def _push(F: _GraphPL, left: CellMap, right: CellMap) -> _GraphPL:
     for n in target.nodes:
         if n not in pt_by_node:
             raise ValueError(f"no source point maps onto node {n}")
-        node_vals[n] = max(pt_by_node[n])
+        node_vals[n] = max(max(pt_by_node[n]), sign * target.value(n))
     edge_bps = {}
     for e, (lo, hi) in enumerate(target.edges):
-        edge_bps[e] = _envelope(
-            target.value(lo),
-            target.value(hi),
-            seg_by_edge.get(e, []),
-            pt_by_edge.get(e, []),
-        )
+        if e not in seg_by_edge:
+            raise ValueError(f"no source segment maps onto edge {e}")
+        a, b = target.value(lo), target.value(hi)
+        own = (a, b, sign * a, sign * b)
+        segs = seg_by_edge[e] + [own]
+        edge_bps[e] = _envelope(a, b, segs, pt_by_edge.get(e, []))
     return _GraphPL(target, node_vals, edge_bps)
 
 
@@ -367,7 +372,8 @@ def _add_pt(pt_by_node, pt_by_edge, cell: Cell, w: Scalar, v: Scalar) -> None:
 
 def _envelope(lo: Scalar, hi: Scalar, segs, pts):
     """Upper envelope of affine segments plus isolated point values, as a
-    breakpoint list (t, v-, v@, v+) over [lo, hi]."""
+    breakpoint list (t, v-, v@, v+) over [lo, hi].  The segments must cover
+    [lo, hi]; _push guarantees it by including the target's own values."""
     cand = {lo, hi}
     for w0, w1, _, _ in segs:
         cand.add(w0)
@@ -400,10 +406,7 @@ def _envelope(lo: Scalar, hi: Scalar, segs, pts):
 
     def cover_max(t):
         vals = [seg_val(s, t) for s in segs if s[0] <= t <= s[1]]
-        vals += [v for w, v in pts if w == t]
-        if not vals:
-            raise ValueError("fiber maximum undefined: map not surjective")
-        return max(vals)
+        return max(vals + [v for w, v in pts if w == t])
 
     # per elementary interval, the maximal segment (no interior crossings)
     out = []
@@ -414,10 +417,7 @@ def _envelope(lo: Scalar, hi: Scalar, segs, pts):
             active = max(
                 (s for s in segs if s[0] <= m <= s[1]),
                 key=lambda s: seg_val(s, m),
-                default=None,
             )
-            if active is None:
-                raise ValueError("fiber maximum undefined: map not surjective")
             vm = seg_val(active, t)
         else:
             vm = va
@@ -426,10 +426,7 @@ def _envelope(lo: Scalar, hi: Scalar, segs, pts):
             active = max(
                 (s for s in segs if s[0] <= m <= s[1]),
                 key=lambda s: seg_val(s, m),
-                default=None,
             )
-            if active is None:
-                raise ValueError("fiber maximum undefined: map not surjective")
             vp = seg_val(active, t)
         else:
             vp = va
@@ -576,7 +573,7 @@ def build_homotopy_zigzag(
         left = induced_map(p_rho, quotients[i], sched.chis[i], gc)
         right = induced_map(p_rho, quotients[i + 1], sched.xis[i], gc)
         maps.append((left, right))
-    z = ZigzagDiagram(graphs, maps)
+    z = ZigzagDiagram(graphs, maps, sched.lambdas)
     return z, zigzag_cost(z)
 
 

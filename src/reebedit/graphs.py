@@ -141,16 +141,6 @@ class GraphComplex:
         a, b, m = self.node_vertex[lo], self.node_vertex[hi], self.mid_vertex[e]
         return tuple(sorted((a, m))), tuple(sorted((m, b)))
 
-    def vertex_point(self, v: int) -> GraphPoint:
-        """Graph point corresponding to a complex vertex."""
-        for n, vv in self.node_vertex.items():
-            if vv == v:
-                return GraphPoint(node=n)
-        for e, vv in self.mid_vertex.items():
-            if vv == v:
-                return GraphPoint(edge=e, t=self.values[v])
-        raise KeyError(v)
-
     def half_containing(self, e: int, t: Fraction) -> Simplex:
         """Half simplex of edge e whose value range contains t."""
         lo_v, hi_v = self.graph.edge_range(e)

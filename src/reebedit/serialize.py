@@ -1,6 +1,6 @@
-"""JSON interchange (exact rationals as "p/q" strings) plus DOT and CSV
-exports.  JSON is the only parseable format; serialize -> parse is the
-identity on instances and graphs."""
+"""JSON interchange (exact rationals as "p/q" strings) plus DOT export.
+JSON is the only parseable format; serialize -> parse is the identity on
+instances and graphs."""
 from __future__ import annotations
 
 import json
@@ -26,10 +26,21 @@ def instance_to_dict(cx: SimplicialComplex, f: PLFunction) -> dict:
     }
 
 
+def _vertex_id(v) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(
+            f"malformed instance: vertex id {v!r} is not an integer"
+        )
+    return v
+
+
 def instance_from_dict(data: dict) -> tuple[SimplicialComplex, PLFunction]:
     try:
-        values = {int(v["id"]): parse_scalar(v["value"]) for v in data["vertices"]}
-        simplices = [tuple(s) for s in data["simplices"]]
+        values = {
+            _vertex_id(v["id"]): parse_scalar(v["value"])
+            for v in data["vertices"]
+        }
+        simplices = [tuple(map(_vertex_id, s)) for s in data["simplices"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance: {exc}") from exc
     simplices += [(v,) for v in values]
@@ -86,14 +97,3 @@ def graph_to_dot(g: ReebGraph, name: str = "reeb") -> str:
         lines.append(f"  n{lo} -- n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def correspondence_to_csv(rows: list[tuple]) -> str:
-    """Rows (p, q, d_f, d_g) of a correspondence sample as CSV text."""
-    out = ["p,q,d_f,d_g,defect"]
-    for p, q, df, dg in rows:
-        out.append(
-            f"{p},{q},{format_scalar(df)},{format_scalar(dg)},"
-            f"{format_scalar(abs(df - dg))}"
-        )
-    return "\n".join(out) + "\n"

@@ -147,6 +147,21 @@ def test_homotopy_command(tmp_path, capsys):
     assert "cost <= ||f-g||: OK" in out
     witness = json.loads(w_path.read_text())
     assert {"lambdas", "graphs", "cost"} <= set(witness)
+    assert len(witness["lambdas"]) == len(witness["graphs"])
+
+
+def test_homotopy_witness_lambdas_are_breakpoints(tmp_path, capsys):
+    f_path = tmp_path / "f.json"
+    g_path = tmp_path / "g.json"
+    _run(capsys, "generate", "cylinder", "-n", "4",
+         "-o", str(f_path), "--second-output", str(g_path))
+    w_path = tmp_path / "witness.json"
+    code, _, _ = _run(
+        capsys, "homotopy", str(f_path), str(g_path), "-o", str(w_path)
+    )
+    assert code == 0
+    witness = json.loads(w_path.read_text())
+    assert witness["lambdas"] == ["0", "2/5", "2/3", "6/7", "1"]
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -159,3 +174,12 @@ def test_usage_errors(tmp_path, capsys):
     assert "parse error" in err
     code, _, _ = _run(capsys, "no-such-command")
     assert code == 2
+    bad_id = tmp_path / "bad_id.json"
+    for vid, simplex in ((1, [0, "x"]), (1, [0, True]), (1.5, [0, 1])):
+        bad_id.write_text(json.dumps({
+            "vertices": [{"id": 0, "value": "0"}, {"id": vid, "value": "1"}],
+            "simplices": [simplex],
+        }))
+        code, _, err = _run(capsys, "reeb", str(bad_id))
+        assert code == 2
+        assert "malformed instance" in err

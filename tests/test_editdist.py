@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reebedit.category import zigzag_limit
 from reebedit.editdist import (
@@ -125,6 +127,25 @@ def test_zigzag_cost_matches_limit_spread(seed):
         pytest.skip("limit enumeration too large for the oracle")
     L = zigzag_limit(z.maps)
     assert cost == L.spread()
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**20), nverts=st.integers(3, 4))
+def test_zigzag_cost_matches_limit_spread_property(seed, nverts):
+    # the forward max-plus pass against the explicit limit, on the zigzag
+    # h -> f -> g with h = (f + g) / 2: unlike a single homotopy zigzag,
+    # its spread is not always attained with the first graph as one end.
+    # The limit oracle grows multiplicatively with the number of spaces
+    # (a 3-space limit over 4 vertices takes 5-16 s), so larger zigzags
+    # are skipped.
+    max_spaces = 3 if nverts == 3 else 2
+    cx, f, g = random_instance(seed, nverts=nverts, second_function=True)
+    z_fg, _ = build_homotopy_zigzag(cx, f, g)
+    assume(len(z_fg.maps) < max_spaces)
+    z_hf, _ = build_homotopy_zigzag(cx, interpolate(f, g, F(1, 2)), f)
+    z = ZigzagDiagram(z_hf.graphs + z_fg.graphs[1:], z_hf.maps + z_fg.maps)
+    assume(len(z.maps) <= max_spaces)
+    assert zigzag_cost(z) == zigzag_limit(z.maps).spread()
 
 
 def test_interpolate_endpoints():
