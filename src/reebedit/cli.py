@@ -13,13 +13,12 @@ from .editdist import (
     coupling,
     coupling_bound,
     point_distance,
-    product_coupling,
     zigzag_cost,
     zigzag_from_coupling,
 )
-from .graphs import GraphPoint, ReebGraph, point_on_edge
+from .graphs import GraphPoint, ReebGraph, minimalize, point_on_edge
 from .maps import verify_reeb_quotient
-from .metrics import d_f, distortion, plgraphmap_from_cellmap
+from .metrics import PLGraphMap, d_f, distortion
 from .plcore import format_scalar, parse_scalar
 from .reeb import compute_reeb
 
@@ -138,12 +137,8 @@ def _cylinder_candidates(cx, f, g):
     """The example map pair for the cylinder: project the circle-like f-graph
     onto the path-like g-graph along values, and section back through the
     upper arc."""
-    from .category import induced_map
-    from .graphs import minimalize
-    from .maps import MonotonePL
-
-    rf, pf = compute_reeb(cx, f)
-    rg, pg = compute_reeb(cx, g)
+    rf, _ = compute_reeb(cx, f)
+    rg, _ = compute_reeb(cx, g)
     mf = minimalize(rf)
     mg = minimalize(rg)
     phi = _value_projection(mf.graph, mg.graph)
@@ -153,7 +148,6 @@ def _cylinder_candidates(cx, f, g):
 
 def _value_projection(src: ReebGraph, dst: ReebGraph):
     """Value-preserving map of a graph onto a path graph with the same range."""
-    from .metrics import PLGraphMap
 
     def at(t) -> GraphPoint:
         for e, (lo, hi) in enumerate(dst.edges):
@@ -161,22 +155,11 @@ def _value_projection(src: ReebGraph, dst: ReebGraph):
                 return point_on_edge(dst, e, t)
         raise ValueError(f"value {t} outside target range")
 
-    vertex_images = {n: at(src.value(n)) for n in src.nodes}
-    node_vals = sorted(set(dst.node_values.values()))
-    edge_paths = {}
-    for e, (lo, hi) in enumerate(src.edges):
-        a, b = src.value(lo), src.value(hi)
-        us = sorted({a, b} | {w for w in node_vals if a < w < b})
-        # interior midpoints disambiguate parallel target edges
-        us = sorted(set(us) | {(u0 + u1) / 2 for u0, u1 in zip(us, us[1:])})
-        edge_paths[e] = [(u, at(u)) for u in us]
-    return PLGraphMap(src, dst, vertex_images, edge_paths)
+    return _map_along_values(src, dst, at)
 
 
 def _upper_section(src: ReebGraph, dst: ReebGraph):
     """Section of a path graph into a graph along one monotone edge path."""
-    from .metrics import PLGraphMap
-
     lo_n = min(dst.nodes, key=dst.value)
     hi_n = max(dst.nodes, key=dst.value)
     # walk a monotone path lo_n -> hi_n through increasing edges
@@ -194,6 +177,11 @@ def _upper_section(src: ReebGraph, dst: ReebGraph):
                 return point_on_edge(dst, e, t)
         raise ValueError(f"value {t} outside section range")
 
+    return _map_along_values(src, dst, at)
+
+
+def _map_along_values(src: ReebGraph, dst: ReebGraph, at):
+    """The PL graph map sending each point of src at value t to at(t)."""
     vertex_images = {n: at(src.value(n)) for n in src.nodes}
     node_vals = sorted(set(dst.node_values.values()))
     edge_paths = {}

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .geometry import LinearForm, polytope_vertices, pulling_triangulation
 from .graphs import GraphComplex, GraphPoint, ReebGraph, point_on_edge
-from .plcore import Scalar, Simplex, SimplicialComplex, UnionFind
+from .plcore import Scalar, Simplex, SimplicialComplex, support_components
 
 # a cell of a graph: ("n", node_id) or ("e", edge_id)
 Cell = tuple[str, int]
@@ -46,6 +46,27 @@ class Certificate:
         return "FAILED:\n" + "\n".join(str(v) for v in self.violations)
 
 
+def level_ranks(
+    h: dict[int, Scalar], levels: list[Scalar]
+) -> tuple[dict[Scalar, int], dict[int, int]]:
+    """Index of each of the sorted `levels`, and of each vertex's level
+    under h."""
+    rank = {t: i for i, t in enumerate(levels)}
+    return rank, {v: rank[t] for v, t in h.items()}
+
+
+def rank_slots(vertex_rank: dict[int, int], s: Simplex) -> list[Slot]:
+    """Slots met by simplex s, given its vertices' level indices: every
+    level from the lowest to the highest, and every gap between them."""
+    ranks = [vertex_rank[v] for v in s]
+    lo, hi = min(ranks), max(ranks)
+    out: list[Slot] = []
+    for i in range(lo, hi):
+        out += (("L", i), ("G", i))
+    out.append(("L", hi))
+    return out
+
+
 class CellMap:
     """A PL map from a simplicial complex onto a Reeb graph.
 
@@ -71,14 +92,12 @@ class CellMap:
         self.source_graph = source_graph
         lv = set(h.values()) | {target.value(n) for n in target.nodes}
         self.levels: list[Scalar] = sorted(lv)
+        self._rank, self._vertex_rank = level_ranks(self.h, self.levels)
 
     # -- level / slot bookkeeping -------------------------------------
 
     def level_index(self, t: Scalar) -> Optional[int]:
-        i = bisect_left(self.levels, t)
-        if i < len(self.levels) and self.levels[i] == t:
-            return i
-        return None
+        return self._rank.get(t)
 
     def slot_of(self, t: Scalar) -> Slot:
         i = bisect_left(self.levels, t)
@@ -91,15 +110,7 @@ class CellMap:
         return min(vals), max(vals)
 
     def slots_of(self, s: Simplex) -> list[Slot]:
-        lo, hi = self.simplex_range(s)
-        i = bisect_left(self.levels, lo)
-        out: list[Slot] = []
-        while i < len(self.levels) and self.levels[i] <= hi:
-            out.append(("L", i))
-            if i + 1 < len(self.levels) and self.levels[i + 1] <= hi:
-                out.append(("G", i))
-            i += 1
-        return out
+        return rank_slots(self._vertex_rank, s)
 
     # -- cell lookup ---------------------------------------------------
 
@@ -217,12 +228,15 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
     """Check that a CellMap is a well-formed surjection with connected
     fibers over every node, every edge-over-a-gap, and every edge interior
     point at a level.  Returns a certificate with explicit witnesses on
-    failure."""
+    failure.
+
+    The level and gap checks compare node values by their level ranks,
+    and each fiber is read from a (slot, cell) -> simplices index built in
+    one pass, so no check rescans the source."""
     bad: list[Violation] = []
     g = m.target
-
-    def node_val(n: int) -> Scalar:
-        return g.value(n)
+    rank = {n: m.level_index(g.value(n)) for n in g.nodes}
+    span = [(rank[lo], rank[hi]) for lo, hi in g.edges]
 
     # structural well-formedness
     if not m.source.is_connected():
@@ -231,39 +245,40 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
         bad.append(Violation("connected-target", "target graph is disconnected"))
     for s in m.source.simplices:
         slots = m.slots_of(s)
-        got = set(m.assignment.get(s, {}))
-        if got != set(slots):
+        per = m.assignment.get(s, {})
+        if set(per) != set(slots):
             bad.append(
-                Violation("slots", f"simplex {s}: have {sorted(got)}, need {slots}")
+                Violation("slots", f"simplex {s}: have {sorted(per)}, need {slots}")
             )
             continue
         for slot in slots:
             kind, i = slot
-            cell = m.assignment[s][slot]
+            cell = per[slot]
             if kind == "L":
-                t = m.levels[i]
                 if cell[0] == "n":
-                    if node_val(cell[1]) != t:
-                        bad.append(
-                            Violation("level-cell", f"{s}@{t}: node {cell[1]} off-level")
-                        )
-                else:
-                    lo, hi = g.edges[cell[1]]
-                    if not node_val(lo) < t < node_val(hi):
+                    if rank[cell[1]] != i:
                         bad.append(
                             Violation(
                                 "level-cell",
-                                f"{s}@{t}: edge {cell[1]} does not cross (unnormalized?)",
+                                f"{s}@{m.levels[i]}: node {cell[1]} off-level",
+                            )
+                        )
+                else:
+                    lo, hi = span[cell[1]]
+                    if not lo < i < hi:
+                        bad.append(
+                            Violation(
+                                "level-cell",
+                                f"{s}@{m.levels[i]}: edge {cell[1]} does not cross "
+                                "(unnormalized?)",
                             )
                         )
             else:
                 if cell[0] != "e":
                     bad.append(Violation("gap-cell", f"{s} gap {i}: node {cell}"))
                     continue
-                lo, hi = g.edges[cell[1]]
-                if not (
-                    node_val(lo) <= m.levels[i] and node_val(hi) >= m.levels[i + 1]
-                ):
+                lo, hi = span[cell[1]]
+                if not lo <= i < hi:
                     bad.append(
                         Violation("gap-cell", f"{s} gap {i}: edge {cell[1]} too short")
                     )
@@ -272,31 +287,30 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
             kind, i = slot
             if kind != "G":
                 continue
-            cell = m.assignment[s][slot]
+            cell = per[slot]
             if cell[0] != "e":
                 continue
             for li in (i, i + 1):
                 lslot = ("L", li)
-                if lslot not in m.assignment[s]:
+                if lslot not in per:
                     continue
-                want = normalize_cell(g, cell, m.levels[li])
-                if m.assignment[s][lslot] != want:
+                if per[lslot] != normalize_cell(g, cell, m.levels[li]):
                     bad.append(
                         Violation(
                             "incidence",
                             f"{s}: gap {i} cell {cell} vs level {li} "
-                            f"cell {m.assignment[s][lslot]}",
+                            f"cell {per[lslot]}",
                         )
                     )
         # face compatibility
         for f in m.source.facets_of(s):
             for slot in m.slots_of(f):
-                if m.assignment[f].get(slot) != m.assignment[s].get(slot):
+                if m.assignment[f].get(slot) != per.get(slot):
                     bad.append(
                         Violation(
                             "face",
                             f"face {f} of {s} disagrees at slot {slot}: "
-                            f"{m.assignment[f].get(slot)} vs {m.assignment[s].get(slot)}",
+                            f"{m.assignment[f].get(slot)} vs {per.get(slot)}",
                         )
                     )
     if bad:
@@ -304,75 +318,45 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
 
     # surjectivity and connected fibers, stratum by stratum
     checked = ("well-formed", "surjective", "connected-fibers")
+    fibers: dict[tuple[Slot, Cell], list[Simplex]] = {}
+    for s in m.source.simplices:
+        for key in m.assignment[s].items():
+            fibers.setdefault(key, []).append(s)
 
-    def fiber_support(pred) -> list[Simplex]:
-        return [s for s in m.source.simplices if pred(s)]
-
-    def connected(support: list[Simplex]) -> bool:
-        if not support:
-            return False
-        uf = UnionFind(support)
-        idx = set(support)
-        for s in support:
-            for f in m.source.facets_of(s):
-                if f in idx:
-                    uf.union(s, f)
-        return len(uf.groups()) == 1
+    def check(slot: Slot, cell: Cell, missed, split) -> None:
+        # missed() and split() format the witness only on failure
+        sup = fibers.get((slot, cell))
+        if not sup:
+            bad.append(Violation("surjective", missed()))
+        elif len(support_components(m.source, sup)) != 1:
+            bad.append(Violation("fiber", split()))
 
     for n in g.nodes:
-        t = node_val(n)
-        li = m.level_index(t)
-        sup = fiber_support(
-            lambda s: ("L", li) in m.assignment[s]
-            and m.assignment[s][("L", li)] == ("n", n)
+        check(
+            ("L", rank[n]),
+            ("n", n),
+            lambda: f"node {n} (value {g.value(n)}) not hit",
+            lambda: f"fiber over node {n} disconnected",
         )
-        if not sup:
-            bad.append(Violation("surjective", f"node {n} (value {t}) not hit"))
-        elif not connected(sup):
-            bad.append(Violation("fiber", f"fiber over node {n} disconnected"))
 
-    for e in range(len(g.edges)):
-        lo, hi = g.edges[e]
-        a, b = node_val(lo), node_val(hi)
-        ia, ib = m.level_index(a), m.level_index(b)
+    for e, (ia, ib) in enumerate(span):
         for i in range(ia, ib):
             # gap (levels[i], levels[i+1]) inside the edge span
-            sup = fiber_support(
-                lambda s: m.assignment[s].get(("G", i)) == ("e", e)
+            a, b = m.levels[i], m.levels[i + 1]
+            check(
+                ("G", i),
+                ("e", e),
+                lambda: f"edge {e} not hit over ({a},{b})",
+                lambda: f"fiber over edge {e}, gap ({a},{b}) disconnected",
             )
-            if not sup:
-                bad.append(
-                    Violation(
-                        "surjective",
-                        f"edge {e} not hit over ({m.levels[i]},{m.levels[i+1]})",
-                    )
-                )
-            elif not connected(sup):
-                bad.append(
-                    Violation(
-                        "fiber",
-                        f"fiber over edge {e}, gap ({m.levels[i]},{m.levels[i+1]}) "
-                        "disconnected",
-                    )
-                )
             if i > ia:
                 # interior level of the edge
-                sup = fiber_support(
-                    lambda s: m.assignment[s].get(("L", i)) == ("e", e)
+                check(
+                    ("L", i),
+                    ("e", e),
+                    lambda: f"edge {e} not hit at level {a}",
+                    lambda: f"fiber over edge {e} at level {a} disconnected",
                 )
-                if not sup:
-                    bad.append(
-                        Violation(
-                            "surjective", f"edge {e} not hit at level {m.levels[i]}"
-                        )
-                    )
-                elif not connected(sup):
-                    bad.append(
-                        Violation(
-                            "fiber",
-                            f"fiber over edge {e} at level {m.levels[i]} disconnected",
-                        )
-                    )
     if bad:
         return Certificate(False, (), tuple(bad))
     return Certificate(True, checked)

@@ -42,10 +42,8 @@ class UnionFind:
     """Union-find over hashable keys, path halving, union by size."""
 
     def __init__(self, items: Iterable = ()):  # items optional; keys auto-add
-        self._parent: dict = {}
-        self._size: dict = {}
-        for it in items:
-            self.add(it)
+        self._parent: dict = {x: x for x in items}
+        self._size: dict = dict.fromkeys(self._parent, 1)
 
     def add(self, x) -> None:
         if x not in self._parent:
@@ -140,11 +138,7 @@ class SimplicialComplex:
         return sorted(s for s in self.simplices if not self.cofacets_of(s))
 
     def components(self) -> list[frozenset[Simplex]]:
-        uf = UnionFind(self.simplices)
-        for s in self.simplices:
-            for f in self.facets_of(s):
-                uf.union(s, f)
-        return [frozenset(g) for g in uf.groups().values()]
+        return [frozenset(c) for c in support_components(self, list(self.simplices))]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -236,25 +230,24 @@ def validate_complex(simplices: Sequence[Sequence[int]]) -> ValidationReport:
     return report
 
 
-def _overlap_components(
-    complex: SimplicialComplex,
-    f: PLFunction,
-    meets,
-) -> list[frozenset[Simplex]]:
-    """Components of the sub-level structure selected by the `meets` predicate.
+def support_components(
+    complex: SimplicialComplex, support: Sequence[Simplex]
+) -> list[list[Simplex]]:
+    """Connected components of a list of simplices of `complex`.
 
-    Two selected simplices are joined whenever one is a codim-1 face of the
-    other and both are selected; convexity of the trace inside each simplex
-    makes this sufficient for pi_0.
+    Two simplices of `support` are joined whenever one is a codim-1 face of
+    the other; for the simplices meeting a level or an interval, convexity
+    of the trace inside each simplex makes this sufficient for pi_0.
+    Components come in the order of their first simplex in `support`, and
+    each lists its simplices in `support` order.
     """
-    support = [s for s in complex.simplices if meets(s)]
     uf = UnionFind(support)
     sel = set(support)
     for s in support:
         for face in complex.facets_of(s):
             if face in sel:
                 uf.union(s, face)
-    return [frozenset(g) for g in uf.groups().values()]
+    return list(uf.groups().values())
 
 
 def level_components(
@@ -269,12 +262,9 @@ def level_components(
         return []
     if t < f.min() or t > f.max():
         return []
-
-    def meets(s: Simplex) -> bool:
-        lo, hi = f.range_of(s)
-        return lo <= t <= hi
-
-    return _overlap_components(complex, f, meets)
+    ranges = ((s, f.range_of(s)) for s in complex.simplices)
+    support = [s for s, (lo, hi) in ranges if lo <= t <= hi]
+    return [frozenset(c) for c in support_components(complex, support)]
 
 
 def interval_preimage_components(
@@ -283,14 +273,9 @@ def interval_preimage_components(
     """Connected components of f^{-1}([a, b]) as sets of simplices."""
     if a > b:
         raise ValueError(f"empty interval: {format_scalar(a)} > {format_scalar(b)}")
-    if not complex.simplices:
-        return []
-
-    def meets(s: Simplex) -> bool:
-        lo, hi = f.range_of(s)
-        return lo <= b and hi >= a
-
-    return _overlap_components(complex, f, meets)
+    ranges = ((s, f.range_of(s)) for s in complex.simplices)
+    support = [s for s, (lo, hi) in ranges if lo <= b and hi >= a]
+    return [frozenset(c) for c in support_components(complex, support)]
 
 
 def barycentric_subdivision(

@@ -1,46 +1,58 @@
 """Reeb graph extraction for PL functions on simplicial complexes.
 
 The quotient identifying points within connected components of level sets
-is computed by a sweep over the distinct vertex values: components of each
-vertex-value level become nodes, components over each open gap (sampled at
-the midpoint, where the component structure is constant) become edges.
-Every simplex crossing a gap reaches both bounding levels, which pins down
-the edge endpoints.
+is computed by one sweep over the distinct vertex values: components of
+each vertex-value level become nodes, components over each open gap
+(where the component structure is constant) become edges.  Every simplex
+crossing a gap reaches both bounding levels, which pins down the edge
+endpoints.
 """
 from __future__ import annotations
 
 from .graphs import GraphComplex, ReebGraph, complexify
-from .maps import Cell, CellMap, Slot, cellmap_from_hosting
-from .plcore import PLFunction, Simplex, SimplicialComplex, level_components
+from .maps import Cell, CellMap, Slot, cellmap_from_hosting, level_ranks, rank_slots
+from .plcore import PLFunction, Simplex, SimplicialComplex, support_components
 
 
 def compute_reeb(
     complex: SimplicialComplex, f: PLFunction
 ) -> tuple[ReebGraph, CellMap]:
-    """Reeb graph of (complex, f) plus the certified quotient map onto it."""
+    """Reeb graph of (complex, f) plus the certified quotient map onto it.
+
+    One pass over the simplices files each simplex, in source order, under
+    every slot it meets (`rank_slots`), so each level's and gap's
+    connectivity is found from the simplices meeting it alone; the total
+    work is the size of the returned map's assignment.
+    """
     if not complex.is_connected():
         raise ValueError("Reeb graphs are computed for connected complexes")
-    crit = sorted({f(v) for v in complex.vertices})
+    h = {v: f(v) for v in complex.vertices}
+    crit = sorted(set(h.values()))
+    _, vrank = level_ranks(h, crit)
+    slots = {s: rank_slots(vrank, s) for s in complex.simplices}
+    support: dict[Slot, list[Simplex]] = {}
+    for s, ss in slots.items():
+        for slot in ss:
+            support.setdefault(slot, []).append(s)
+
     node_values: dict[int, object] = {}
     node_of: list[dict[Simplex, int]] = []  # per level: simplex -> node id
-    next_node = 0
-    for t in crit:
+    for k, t in enumerate(crit):
         table: dict[Simplex, int] = {}
-        for comp in level_components(complex, f, t):
+        for comp in support_components(complex, support[("L", k)]):
+            nid = len(node_values)
             for s in comp:
-                table[s] = next_node
-            node_values[next_node] = t
-            next_node += 1
+                table[s] = nid
+            node_values[nid] = t
         node_of.append(table)
 
     edges: list[tuple[int, int]] = []
     edge_of: list[dict[Simplex, int]] = []  # per gap: simplex -> edge id
     for k in range(len(crit) - 1):
-        mid = (crit[k] + crit[k + 1]) / 2
-        table: dict[Simplex, int] = {}
-        for comp in level_components(complex, f, mid):
-            # every simplex meeting the gap midpoint spans the whole gap,
-            # so it appears in both bounding level tables
+        table = {}
+        for comp in support_components(complex, support.get(("G", k), [])):
+            # every simplex over the gap spans it, so it appears in both
+            # bounding level tables
             lo_nodes = {node_of[k][s] for s in comp}
             hi_nodes = {node_of[k + 1][s] for s in comp}
             if len(lo_nodes) != 1 or len(hi_nodes) != 1:
@@ -54,23 +66,16 @@ def compute_reeb(
         edge_of.append(table)
 
     graph = ReebGraph(node_values, edges)
-    level_index = {t: k for k, t in enumerate(crit)}
-
-    m = CellMap(complex, dict(f.values), graph, {})
-    assignment: dict[Simplex, dict[Slot, Cell]] = {}
-    for s in complex.simplices:
-        per: dict[Slot, Cell] = {}
-        for slot in m.slots_of(s):
-            kind, i = slot
-            # map levels coincide with crit: vertex values are the node
-            # values and vice versa
-            if kind == "L":
-                per[slot] = ("n", node_of[i][s])
-            else:
-                per[slot] = ("e", edge_of[i][s])
-        assignment[s] = per
-    m.assignment = assignment
-    return graph, m
+    # the map's levels are crit: vertex values are the node values and
+    # vice versa, so its slots are the ones the simplices were filed under
+    assignment: dict[Simplex, dict[Slot, Cell]] = {
+        s: {
+            (kind, i): ("n", node_of[i][s]) if kind == "L" else ("e", edge_of[i][s])
+            for kind, i in ss
+        }
+        for s, ss in slots.items()
+    }
+    return graph, CellMap(complex, dict(f.values), graph, assignment)
 
 
 def reeb_of_graph(graph: ReebGraph) -> tuple[ReebGraph, CellMap]:

@@ -26,12 +26,14 @@ def instance_to_dict(cx: SimplicialComplex, f: PLFunction) -> dict:
     }
 
 
+def _int_id(x, where: str, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"malformed {where}: {what} {x!r} is not an integer")
+    return x
+
+
 def _vertex_id(v) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(
-            f"malformed instance: vertex id {v!r} is not an integer"
-        )
-    return v
+    return _int_id(v, "instance", "vertex id")
 
 
 def instance_from_dict(data: dict) -> tuple[SimplicialComplex, PLFunction]:
@@ -62,9 +64,16 @@ def graph_to_dict(g: ReebGraph) -> dict:
 
 def graph_from_dict(data: dict) -> ReebGraph:
     try:
-        values = {int(n["id"]): parse_scalar(n["value"]) for n in data["nodes"]}
-        edges = [(e[0], e[1]) for e in data["edges"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        values = {
+            _int_id(n["id"], "graph", "node id"): parse_scalar(n["value"])
+            for n in data["nodes"]
+        }
+        edges = []
+        for e in data["edges"]:
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"malformed graph: edge {e!r} is not a node pair")
+            edges.append(tuple(_int_id(n, "graph", "edge endpoint") for n in e))
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph: {exc}") from exc
     return ReebGraph(node_values=values, edges=edges)
 

@@ -183,3 +183,15 @@ def test_usage_errors(tmp_path, capsys):
         code, _, err = _run(capsys, "reeb", str(bad_id))
         assert code == 2
         assert "malformed instance" in err
+    bad_graph = tmp_path / "bad_graph.json"
+    for nid, edge in (
+        (1.9, [0, 1]), (True, [0, 1]), (1, [0, True]), (1, [0, "1"]), (1, [0, 1, 7]),
+    ):
+        bad_graph.write_text(json.dumps({
+            "nodes": [{"id": 0, "value": "0"}, {"id": nid, "value": "1"}],
+            "edges": [edge],
+        }))
+        code, out, err = _run(capsys, "metric", str(bad_graph), "n0", "n1")
+        assert code == 2
+        assert out == ""
+        assert "malformed graph" in err

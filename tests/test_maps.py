@@ -93,6 +93,144 @@ def test_verifier_rejects_non_surjective():
     assert not cert.ok
 
 
+def _hosted(edges, h, target, host):
+    cx = SimplicialComplex.from_simplices(edges)
+    full = {s: ("e", 0) for s in cx.simplices}
+    full.update(host)
+    return cellmap_from_hosting(cx, {v: F(x) for v, x in h.items()}, target, full)
+
+
+@pytest.mark.parametrize(
+    "edges, h, target, host, want",
+    [
+        (  # a node, edge gaps and an interior edge level that nothing hits
+            [(0, 1)],
+            {0: 0, 1: 2},
+            ReebGraph({0: F(0), 1: F(2), 2: F(1), 3: F(0)}, [(0, 1), (3, 1), (2, 1)]),
+            {(0,): ("n", 0), (1,): ("n", 1)},
+            [
+                ("surjective", "node 2 (value 1) not hit"),
+                ("surjective", "node 3 (value 0) not hit"),
+                ("surjective", "edge 1 not hit over (0,1)"),
+                ("surjective", "edge 1 not hit over (1,2)"),
+                ("surjective", "edge 1 not hit at level 1"),
+                ("surjective", "edge 2 not hit over (1,2)"),
+            ],
+        ),
+        (  # a V folded onto a double edge: two points over the bottom node
+            [(0, 1), (1, 2)],
+            {0: 0, 1: 1, 2: 0},
+            ReebGraph({0: F(0), 1: F(1)}, [(0, 1), (0, 1)]),
+            {(0,): ("n", 0), (2,): ("n", 0), (1,): ("n", 1), (1, 2): ("e", 1)},
+            [("fiber", "fiber over node 0 disconnected")],
+        ),
+        (  # a zigzag path folded onto one edge: split node and gap fibers
+            [(0, 1), (1, 2), (2, 3)],
+            {0: 0, 1: 1, 2: 0, 3: 1},
+            ReebGraph({0: F(0), 1: F(1)}, [(0, 1)]),
+            {(0,): ("n", 0), (2,): ("n", 0), (1,): ("n", 1), (3,): ("n", 1)},
+            [
+                ("fiber", "fiber over node 0 disconnected"),
+                ("fiber", "fiber over node 1 disconnected"),
+                ("fiber", "fiber over edge 0, gap (0,1) disconnected"),
+            ],
+        ),
+        (  # three arcs folded onto one edge: split gap and interior level fibers
+            [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)],
+            {0: 0, 1: 1, 2: 1, 3: 2},
+            ReebGraph({0: F(0), 1: F(2)}, [(0, 1)]),
+            {(0,): ("n", 0), (3,): ("n", 1)},
+            [
+                ("fiber", "fiber over edge 0, gap (0,1) disconnected"),
+                ("fiber", "fiber over edge 0, gap (1,2) disconnected"),
+                ("fiber", "fiber over edge 0 at level 1 disconnected"),
+            ],
+        ),
+    ],
+)
+def test_verifier_witnesses_are_exact(edges, h, target, host, want):
+    cert = verify_reeb_quotient(_hosted(edges, h, target, host))
+    assert not cert.ok
+    assert [(v.axiom, v.witness) for v in cert.violations] == want
+    assert cert.summary() == "FAILED:\n" + "\n".join(f"[{a}] {w}" for a, w in want)
+
+
+def _one_edge_map(edits):
+    # the edge (0, 1) over [0, 2], mapped onto the edge 0 of a graph with
+    # nodes at 0, 1, 2 and 0, then with edits[s][slot] = cell (None: drop)
+    target = ReebGraph(
+        {0: F(0), 1: F(1), 2: F(2), 3: F(0)}, [(0, 2), (0, 1), (1, 2), (3, 2)]
+    )
+    assignment = {
+        (0,): {("L", 0): ("n", 0)},
+        (1,): {("L", 2): ("n", 2)},
+        (0, 1): {
+            ("L", 0): ("n", 0),
+            ("G", 0): ("e", 0),
+            ("L", 1): ("e", 0),
+            ("G", 1): ("e", 0),
+            ("L", 2): ("n", 2),
+        },
+    }
+    for (s, slot), cell in edits.items():
+        if cell is None:
+            del assignment[s][slot]
+        else:
+            assignment[s][slot] = cell
+    cx = SimplicialComplex.from_simplices([(0, 1)])
+    return CellMap(cx, {0: F(0), 1: F(2)}, target, assignment)
+
+
+@pytest.mark.parametrize(
+    "edits, want",
+    [
+        (
+            {((0,), ("L", 0)): ("n", 1)},
+            [
+                ("level-cell", "(0,)@0: node 1 off-level"),
+                ("face", "face (0,) of (0, 1) disagrees at slot ('L', 0): "
+                         "('n', 1) vs ('n', 0)"),
+            ],
+        ),
+        (
+            {((0,), ("L", 0)): ("n", 3)},
+            [("face", "face (0,) of (0, 1) disagrees at slot ('L', 0): "
+                      "('n', 3) vs ('n', 0)")],
+        ),
+        (
+            {((0, 1), ("L", 1)): ("e", 1)},
+            [
+                ("level-cell", "(0, 1)@1: edge 1 does not cross (unnormalized?)"),
+                ("incidence", "(0, 1): gap 0 cell ('e', 0) vs level 1 cell ('e', 1)"),
+                ("incidence", "(0, 1): gap 1 cell ('e', 0) vs level 1 cell ('e', 1)"),
+            ],
+        ),
+        (
+            {((0, 1), ("G", 0)): ("n", 1)},
+            [("gap-cell", "(0, 1) gap 0: node ('n', 1)")],
+        ),
+        (
+            {((0, 1), ("G", 1)): ("e", 1)},
+            [
+                ("gap-cell", "(0, 1) gap 1: edge 1 too short"),
+                ("incidence", "(0, 1): gap 1 cell ('e', 1) vs level 1 cell ('e', 0)"),
+                ("incidence", "(0, 1): gap 1 cell ('e', 1) vs level 2 cell ('n', 2)"),
+            ],
+        ),
+        (
+            {((0, 1), ("G", 1)): None},
+            [("slots", "simplex (0, 1): have [('G', 0), ('L', 0), ('L', 1), "
+                       "('L', 2)], need [('L', 0), ('G', 0), ('L', 1), "
+                       "('G', 1), ('L', 2)]")],
+        ),
+    ],
+)
+def test_verifier_wellformedness_witnesses_are_exact(edits, want):
+    cert = verify_reeb_quotient(_one_edge_map(edits))
+    assert not cert.ok
+    assert [(v.axiom, v.witness) for v in cert.violations] == want
+
+
 def test_subdivide_at_levels_slices_exactly():
     cx = SimplicialComplex.from_simplices([(0, 1, 2)])
     h = {0: F(0), 1: F(2), 2: F(4)}

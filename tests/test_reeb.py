@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reebedit.generators import circle, cylinder, path, point, random_instance
 from reebedit.graphs import ReebGraph, graph_isomorphic, minimalize
@@ -74,6 +76,21 @@ def test_compute_reeb_matches_naive_sweep(seed):
     got, _ = compute_reeb(cx, f)
     want = naive_reeb(cx, f)
     assert graph_isomorphic(minimalize(got).graph, minimalize(want).graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**20), n=st.integers(3, 12))
+def test_compute_reeb_matches_naive_sweep_dense_property(seed, n):
+    # as many extra edges and triangles as vertices: repeated values and
+    # 2-simplices spanning several levels are common
+    cx, f, _ = random_instance(seed, nverts=n, extra_edges=n, triangles=n)
+    got, m = compute_reeb(cx, f)
+    want = naive_reeb(cx, f)
+    assert len(got.nodes) == len(want.nodes)
+    assert len(got.edges) == len(want.edges)
+    assert graph_isomorphic(minimalize(got).graph, minimalize(want).graph)
+    cert = verify_reeb_quotient(m)
+    assert cert.ok, cert.summary()
 
 
 @pytest.mark.parametrize("seed", range(15))
