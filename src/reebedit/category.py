@@ -16,7 +16,15 @@ from typing import Optional
 
 from .geometry import LinearForm, dot, polytope_vertices, pulling_triangulation
 from .graphs import GraphComplex, ReebGraph, complexify
-from .maps import Cell, CellMap, MonotonePL, Slot, _same_graph, normalize_cell
+from .maps import (
+    Cell,
+    CellMap,
+    MonotonePL,
+    Slot,
+    _same_graph,
+    normalize_cell,
+    restrict_cellmap,
+)
 from .plcore import Scalar, Simplex, SimplicialComplex, UnionFind
 
 ZERO = Fraction(0)
@@ -84,13 +92,6 @@ class LimitCellComplex:
         return len(uf.groups()) == 1
 
 
-def _slot_range(m: CellMap, slot: Slot) -> tuple[Scalar, Scalar]:
-    kind, i = slot
-    if kind == "L":
-        return m.levels[i], m.levels[i]
-    return m.levels[i], m.levels[i + 1]
-
-
 def _slot_constraints(
     m: CellMap, s: Simplex, slot: Slot, dim: int, offset: int, total: int
 ) -> tuple[list[LinearForm], list[LinearForm]]:
@@ -99,10 +100,9 @@ def _slot_constraints(
     hvec = [ZERO] * total
     for j, v in enumerate(s):
         hvec[offset + j] = m.h[v]
-    kind, i = slot
-    if kind == "L":
-        return [(tuple(hvec), m.levels[i])], []
-    lo, hi = m.levels[i], m.levels[i + 1]
+    lo, hi = m.slot_range(slot)
+    if lo == hi:
+        return [(tuple(hvec), lo)], []
     return [], [
         (tuple(-x for x in hvec), -lo),
         (tuple(hvec), hi),
@@ -152,8 +152,8 @@ def _factor_pieces(factor: int, ml: CellMap, mr: CellMap) -> list[Piece]:
                         rs,
                         ml.assignment[s][ls],
                         mr.assignment[s][rs],
-                        _slot_range(ml, ls),
-                        _slot_range(mr, rs),
+                        ml.slot_range(ls),
+                        mr.slot_range(rs),
                     )
                 )
     return out
@@ -352,25 +352,12 @@ def limit_projection(T: TriangulatedLimit, factor: int, m: CellMap) -> CellMap:
     """The composite (limit -> X_factor -> m.target) as a certified-checkable
     CellMap.  m may be the factor's own zigzag map or any other quotient map
     defined on the same factor complex."""
-    L = T.limit
-    h: dict[int, Scalar] = {}
-    for vid, locs in L.locations.items():
-        h[vid] = sum((c * m.h[v] for v, c in locs[factor].items()), ZERO)
-    out = CellMap(T.complex, h, m.target, {})
-    assignment: dict[Simplex, dict[Slot, Cell]] = {}
-    for s in T.complex.simplices:
-        sup = T.supports[s][factor]
-        per: dict[Slot, Cell] = {}
-        for slot in out.slots_of(s):
-            kind, i = slot
-            if kind == "L":
-                t = out.levels[i]
-                per[slot] = normalize_cell(m.target, m.cell_at(sup, t), t)
-            else:
-                per[slot] = m.cell_on(sup, out.levels[i], out.levels[i + 1])
-        assignment[s] = per
-    out.assignment = assignment
-    return out
+    h = {
+        vid: sum((c * m.h[v] for v, c in locs[factor].items()), ZERO)
+        for vid, locs in T.limit.locations.items()
+    }
+    host = {s: T.supports[s][factor] for s in T.complex.simplices}
+    return restrict_cellmap(m, T.complex, h, host)
 
 
 def induced_map(
@@ -417,10 +404,8 @@ def induced_map(
         fa, fb = min(gcf.values[w] for w in s), max(gcf.values[w] for w in s)
         per: dict[Slot, Cell] = {}
         for slot in out.slots_of(s):
-            kind, i = slot
-            t = out.levels[i] if kind == "L" else (
-                (out.levels[i] + out.levels[i + 1]) / 2
-            )
+            lo, hi = out.slot_range(slot)
+            t = (lo + hi) / 2
             ua, ub = xi.preimage(t)
             u = (max(ua, fa) + min(ub, fb)) / 2
             cprime = normalize_cell(p_f.target, gcf.host[s], u)

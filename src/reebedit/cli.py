@@ -16,9 +16,9 @@ from .editdist import (
     zigzag_cost,
     zigzag_from_coupling,
 )
-from .graphs import GraphPoint, ReebGraph, minimalize, point_on_edge
-from .maps import verify_reeb_quotient
-from .metrics import PLGraphMap, d_f, distortion
+from .graphs import GraphPoint, ReebGraph, point_on_edge
+from .maps import CertificationError, verify_reeb_quotient
+from .metrics import _cylinder_candidates, d_f, distortion
 from .plcore import format_scalar, parse_scalar
 from .reeb import compute_reeb
 
@@ -131,67 +131,6 @@ def _fmt_point(p: GraphPoint) -> str:
     if p.is_node:
         return f"n{p.node}"
     return f"e{p.edge}@{format_scalar(p.t)}"
-
-
-def _cylinder_candidates(cx, f, g):
-    """The example map pair for the cylinder: project the circle-like f-graph
-    onto the path-like g-graph along values, and section back through the
-    upper arc."""
-    rf, _ = compute_reeb(cx, f)
-    rg, _ = compute_reeb(cx, g)
-    mf = minimalize(rf)
-    mg = minimalize(rg)
-    phi = _value_projection(mf.graph, mg.graph)
-    psi = _upper_section(mg.graph, mf.graph)
-    return phi, psi
-
-
-def _value_projection(src: ReebGraph, dst: ReebGraph):
-    """Value-preserving map of a graph onto a path graph with the same range."""
-
-    def at(t) -> GraphPoint:
-        for e, (lo, hi) in enumerate(dst.edges):
-            if dst.value(lo) <= t <= dst.value(hi):
-                return point_on_edge(dst, e, t)
-        raise ValueError(f"value {t} outside target range")
-
-    return _map_along_values(src, dst, at)
-
-
-def _upper_section(src: ReebGraph, dst: ReebGraph):
-    """Section of a path graph into a graph along one monotone edge path."""
-    lo_n = min(dst.nodes, key=dst.value)
-    hi_n = max(dst.nodes, key=dst.value)
-    # walk a monotone path lo_n -> hi_n through increasing edges
-    path_cells = []
-    node = lo_n
-    while node != hi_n:
-        e = min(dst.up_edges(node))
-        path_cells.append(e)
-        node = dst.edges[e][1]
-
-    def at(t) -> GraphPoint:
-        for e in path_cells:
-            lo, hi = dst.edges[e]
-            if dst.value(lo) <= t <= dst.value(hi):
-                return point_on_edge(dst, e, t)
-        raise ValueError(f"value {t} outside section range")
-
-    return _map_along_values(src, dst, at)
-
-
-def _map_along_values(src: ReebGraph, dst: ReebGraph, at):
-    """The PL graph map sending each point of src at value t to at(t)."""
-    vertex_images = {n: at(src.value(n)) for n in src.nodes}
-    node_vals = sorted(set(dst.node_values.values()))
-    edge_paths = {}
-    for e, (lo, hi) in enumerate(src.edges):
-        a, b = src.value(lo), src.value(hi)
-        us = sorted({a, b} | {w for w in node_vals if a < w < b})
-        # interior midpoints disambiguate parallel target edges
-        us = sorted(set(us) | {(u0 + u1) / 2 for u0, u1 in zip(us, us[1:])})
-        edge_paths[e] = [(u, at(u)) for u in us]
-    return PLGraphMap(src, dst, vertex_images, edge_paths)
 
 
 def cmd_bound(args) -> int:
@@ -324,9 +263,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if "certif" in str(exc) or "axiom" in str(exc) or "violation" in str(exc):
-            return AXIOM_ERROR
-        return USAGE_ERROR
+        return AXIOM_ERROR if isinstance(exc, CertificationError) else USAGE_ERROR
 
 
 if __name__ == "__main__":

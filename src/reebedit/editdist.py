@@ -25,6 +25,7 @@ from .maps import (
     Cell,
     CellMap,
     Certificate,
+    CertificationError,
     MonotonePL,
     _same_graph,
     cellmap_from_hosting,
@@ -59,7 +60,9 @@ def coupling(p_f: CellMap, p_g: CellMap) -> Coupling:
     cert_g = verify_reeb_quotient(p_g)
     for name, cert in (("p_f", cert_f), ("p_g", cert_g)):
         if not cert.ok:
-            raise ValueError(f"{name} is not a Reeb quotient map: {cert.summary()}")
+            raise CertificationError(
+                f"{name} is not a Reeb quotient map: {cert.summary()}"
+            )
     return Coupling(p_f, p_g, cert_f, cert_g)
 
 
@@ -154,7 +157,7 @@ class ZigzagDiagram:
             for name, m in (("left", ml), ("right", mr)):
                 cert = verify_reeb_quotient(m)
                 if not cert.ok:
-                    raise ValueError(
+                    raise CertificationError(
                         f"space {i}: {name} map uncertified: {cert.summary()}"
                     )
 
@@ -258,16 +261,14 @@ def _compose_g(F: _GraphPL, left: CellMap, s, up, uq, tP, tQ):
     t0, t1 = (tP, tQ) if tP < tQ else (tQ, tP)
     tpts = set()
     for slot in left.slots_of(s):
-        kind, i = slot
-        if kind == "L":
-            tpts.add(left.levels[i])
-        else:
-            cell = left.assignment[s][slot]
-            if cell[0] == "e":
-                a, b = left.levels[i], left.levels[i + 1]
-                for bp in F.edge_bps[cell[1]]:
-                    if a < bp[0] < b:
-                        tpts.add(bp[0])
+        a, b = left.slot_range(slot)
+        cell = left.assignment[s][slot]
+        if a == b:
+            tpts.add(a)
+        elif cell[0] == "e":
+            for bp in F.edge_bps[cell[1]]:
+                if a < bp[0] < b:
+                    tpts.add(bp[0])
     tlist = sorted(tpts)
     entries = []  # (t, v_below_limit, v_at, v_above_limit)
     for j, t in enumerate(tlist):
@@ -321,15 +322,11 @@ def _push(F: _GraphPL, left: CellMap, right: CellMap, sign: int) -> _GraphPL:
             return up + (w - wP) * (uq - up) / (wQ - wP)
 
         for slot in right.slots_of(s):
-            kind, i = slot
             cell = right.assignment[s][slot]
-            if kind == "L":
-                w = right.levels[i]
-                _add_pt(
-                    pt_by_node, pt_by_edge, cell, w, _eval_bps(G, u_of_w(w))
-                )
+            wl, wh = right.slot_range(slot)
+            if wl == wh:
+                _add_pt(pt_by_node, pt_by_edge, cell, wl, _eval_bps(G, u_of_w(wl)))
                 continue
-            wl, wh = right.levels[i], right.levels[i + 1]
             ua, ub = u_of_w(wl), u_of_w(wh)
             ulo, uhi = (ua, ub) if ua < ub else (ub, ua)
             cuts = [ulo] + [u for u, *_ in G if ulo < u < uhi] + [uhi]
@@ -542,7 +539,9 @@ def induced_quotient_via_reparam(
     zeta = induced_map(p_f, p_g, chi)
     cert = verify_reeb_quotient(zeta)
     if not cert.ok:
-        raise ValueError(f"induced map failed certification: {cert.summary()}")
+        raise CertificationError(
+            f"induced map failed certification: {cert.summary()}"
+        )
     return zeta, cert
 
 

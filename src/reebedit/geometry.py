@@ -175,6 +175,8 @@ def pulling_triangulation(
         for simplex in pulling_triangulation(sub, ineqs):
             out.append(tuple(sorted(simplex + (v0,))))
     if not out:
-        # d == 0, or the polytope is a simplex the facet scan missed
-        return [tuple(keys)] if d + 1 >= len(keys) else [tuple(keys[: d + 1])]
+        raise ValueError(
+            f"pulling triangulation found no facet of a {d}-polytope "
+            f"on {len(keys)} vertices"
+        )
     return out

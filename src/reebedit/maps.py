@@ -7,13 +7,17 @@ node values; a simplex is assigned one graph cell per level it meets and
 one per open gap between consecutive levels it spans.  All verification
 (surjectivity, connected fibers, face compatibility) happens on this
 finite data.
+
+A slot is an int: 2i is level i and 2i+1 the open gap (level i, level i+1).
+Only this module knows that encoding; everything else asks
+`CellMap.slot_range` for a slot's value interval.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .geometry import LinearForm, polytope_vertices, pulling_triangulation
 from .graphs import GraphComplex, GraphPoint, ReebGraph, point_on_edge
@@ -21,8 +25,8 @@ from .plcore import Scalar, Simplex, SimplicialComplex, support_components
 
 # a cell of a graph: ("n", node_id) or ("e", edge_id)
 Cell = tuple[str, int]
-# a slot: ("L", i) = level i, ("G", i) = open gap (level i, level i+1)
-Slot = tuple[str, int]
+# a slot: 2i = level i, 2i+1 = open gap (level i, level i+1)
+Slot = int
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,10 @@ class Certificate:
         return "FAILED:\n" + "\n".join(str(v) for v in self.violations)
 
 
+class CertificationError(ValueError):
+    """A map that had to be a certified Reeb quotient failed the axioms."""
+
+
 def level_ranks(
     h: dict[int, Scalar], levels: list[Scalar]
 ) -> tuple[dict[Scalar, int], dict[int, int]]:
@@ -55,16 +63,23 @@ def level_ranks(
     return rank, {v: rank[t] for v, t in h.items()}
 
 
-def rank_slots(vertex_rank: dict[int, int], s: Simplex) -> list[Slot]:
+def level_slot(i: int) -> Slot:
+    return 2 * i
+
+
+def gap_slot(i: int) -> Slot:
+    return 2 * i + 1
+
+
+def _slot_name(slot: Slot) -> str:
+    return f"{'gap' if slot % 2 else 'level'} {slot // 2}"
+
+
+def rank_slots(vertex_rank: dict[int, int], s: Simplex) -> range:
     """Slots met by simplex s, given its vertices' level indices: every
     level from the lowest to the highest, and every gap between them."""
     ranks = [vertex_rank[v] for v in s]
-    lo, hi = min(ranks), max(ranks)
-    out: list[Slot] = []
-    for i in range(lo, hi):
-        out += (("L", i), ("G", i))
-    out.append(("L", hi))
-    return out
+    return range(2 * min(ranks), 2 * max(ranks) + 1)
 
 
 class CellMap:
@@ -102,14 +117,20 @@ class CellMap:
     def slot_of(self, t: Scalar) -> Slot:
         i = bisect_left(self.levels, t)
         if i < len(self.levels) and self.levels[i] == t:
-            return ("L", i)
-        return ("G", i - 1)
+            return 2 * i
+        return 2 * i - 1
+
+    def slot_range(self, slot: Slot) -> tuple[Scalar, Scalar]:
+        """Value interval of a slot: lo == hi exactly for a level, and the
+        open gap (lo, hi) otherwise."""
+        i, gap = divmod(slot, 2)
+        return self.levels[i], self.levels[i + gap]
 
     def simplex_range(self, s: Simplex) -> tuple[Scalar, Scalar]:
         vals = [self.h[v] for v in s]
         return min(vals), max(vals)
 
-    def slots_of(self, s: Simplex) -> list[Slot]:
+    def slots_of(self, s: Simplex) -> range:
         return rank_slots(self._vertex_rank, s)
 
     # -- cell lookup ---------------------------------------------------
@@ -125,13 +146,9 @@ class CellMap:
         """The single edge cell covering the image of s over open (a, b)."""
         cells = set()
         for slot in self.slots_of(s):
-            kind, i = slot
-            if kind == "L":
-                if a < self.levels[i] < b:
-                    cells.add(self.assignment[s][slot])
-            else:
-                if self.levels[i] < b and self.levels[i + 1] > a:
-                    cells.add(self.assignment[s][slot])
+            lo, hi = self.slot_range(slot)
+            if lo < b and hi > a:
+                cells.add(self.assignment[s][slot])
         if len(cells) != 1:
             raise ValueError(
                 f"image of {s} over ({a},{b}) is not a single cell: {cells}"
@@ -209,12 +226,12 @@ def cellmap_from_hosting(
         cell = host[s]
         per: dict[Slot, Cell] = {}
         for slot in m.slots_of(s):
-            kind, i = slot
-            if kind == "L":
-                per[slot] = normalize_cell(target, cell, m.levels[i])
+            lo, hi = m.slot_range(slot)
+            if lo == hi:
+                per[slot] = normalize_cell(target, cell, lo)
+            elif cell[0] != "e":
+                raise ValueError(f"simplex {s} spans a gap inside node {cell}")
             else:
-                if cell[0] != "e":
-                    raise ValueError(f"simplex {s} spans a gap inside node {cell}")
                 per[slot] = cell
         assignment[s] = per
     m.assignment = assignment
@@ -230,13 +247,15 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
     point at a level.  Returns a certificate with explicit witnesses on
     failure.
 
-    The level and gap checks compare node values by their level ranks,
-    and each fiber is read from a (slot, cell) -> simplices index built in
-    one pass, so no check rescans the source."""
+    Each node sits at one level slot and each edge spans the slots between
+    its endpoints' level slots; an edge cell is well-formed at a slot
+    exactly when the slot lies strictly inside that span.  Each fiber is
+    read from a (slot, cell) -> simplices index built in one pass, so no
+    check rescans the source."""
     bad: list[Violation] = []
     g = m.target
-    rank = {n: m.level_index(g.value(n)) for n in g.nodes}
-    span = [(rank[lo], rank[hi]) for lo, hi in g.edges]
+    node_slot = {n: level_slot(m.level_index(g.value(n))) for n in g.nodes}
+    span = [(node_slot[lo], node_slot[hi]) for lo, hi in g.edges]
 
     # structural well-formedness
     if not m.source.is_connected():
@@ -247,59 +266,30 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
         slots = m.slots_of(s)
         per = m.assignment.get(s, {})
         if set(per) != set(slots):
-            bad.append(
-                Violation("slots", f"simplex {s}: have {sorted(per)}, need {slots}")
-            )
+            have = ", ".join(map(_slot_name, sorted(per)))
+            need = ", ".join(map(_slot_name, slots))
+            bad.append(Violation("slots", f"simplex {s}: have [{have}], need [{need}]"))
             continue
         for slot in slots:
-            kind, i = slot
             cell = per[slot]
-            if kind == "L":
-                if cell[0] == "n":
-                    if rank[cell[1]] != i:
-                        bad.append(
-                            Violation(
-                                "level-cell",
-                                f"{s}@{m.levels[i]}: node {cell[1]} off-level",
-                            )
-                        )
-                else:
-                    lo, hi = span[cell[1]]
-                    if not lo < i < hi:
-                        bad.append(
-                            Violation(
-                                "level-cell",
-                                f"{s}@{m.levels[i]}: edge {cell[1]} does not cross "
-                                "(unnormalized?)",
-                            )
-                        )
-            else:
-                if cell[0] != "e":
-                    bad.append(Violation("gap-cell", f"{s} gap {i}: node {cell}"))
-                    continue
+            if cell[0] == "e":
                 lo, hi = span[cell[1]]
-                if not lo <= i < hi:
-                    bad.append(
-                        Violation("gap-cell", f"{s} gap {i}: edge {cell[1]} too short")
-                    )
+                if not lo < slot < hi:
+                    bad.append(_cell_violation(m, s, slot, cell))
+            elif node_slot.get(cell[1]) != slot:
+                bad.append(_cell_violation(m, s, slot, cell))
         # gap <-> neighboring level incidence
-        for slot in slots:
-            kind, i = slot
-            if kind != "G":
-                continue
+        for slot in slots[1::2]:
             cell = per[slot]
             if cell[0] != "e":
                 continue
-            for li in (i, i + 1):
-                lslot = ("L", li)
-                if lslot not in per:
-                    continue
-                if per[lslot] != normalize_cell(g, cell, m.levels[li]):
+            for near in (slot - 1, slot + 1):
+                if per[near] != normalize_cell(g, cell, m.slot_range(near)[0]):
                     bad.append(
                         Violation(
                             "incidence",
-                            f"{s}: gap {i} cell {cell} vs level {li} "
-                            f"cell {per[lslot]}",
+                            f"{s}: {_slot_name(slot)} cell {cell} vs "
+                            f"{_slot_name(near)} cell {per[near]}",
                         )
                     )
         # face compatibility
@@ -309,7 +299,7 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
                     bad.append(
                         Violation(
                             "face",
-                            f"face {f} of {s} disagrees at slot {slot}: "
+                            f"face {f} of {s} disagrees at {_slot_name(slot)}: "
                             f"{m.assignment[f].get(slot)} vs {per.get(slot)}",
                         )
                     )
@@ -333,26 +323,26 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
 
     for n in g.nodes:
         check(
-            ("L", rank[n]),
+            node_slot[n],
             ("n", n),
             lambda: f"node {n} (value {g.value(n)}) not hit",
             lambda: f"fiber over node {n} disconnected",
         )
 
-    for e, (ia, ib) in enumerate(span):
-        for i in range(ia, ib):
-            # gap (levels[i], levels[i+1]) inside the edge span
-            a, b = m.levels[i], m.levels[i + 1]
+    for e, (sa, sb) in enumerate(span):
+        for slot in range(sa + 1, sb, 2):
+            # gap (a, b) inside the edge span
+            a, b = m.slot_range(slot)
             check(
-                ("G", i),
+                slot,
                 ("e", e),
                 lambda: f"edge {e} not hit over ({a},{b})",
                 lambda: f"fiber over edge {e}, gap ({a},{b}) disconnected",
             )
-            if i > ia:
-                # interior level of the edge
+            if slot - 1 > sa:
+                # interior level of the edge, just below the gap
                 check(
-                    ("L", i),
+                    slot - 1,
                     ("e", e),
                     lambda: f"edge {e} not hit at level {a}",
                     lambda: f"fiber over edge {e} at level {a} disconnected",
@@ -360,6 +350,19 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
     if bad:
         return Certificate(False, (), tuple(bad))
     return Certificate(True, checked)
+
+
+def _cell_violation(m: CellMap, s: Simplex, slot: Slot, cell: Cell) -> Violation:
+    """The witness for a cell that cannot hold the image of s at slot."""
+    lo, hi = m.slot_range(slot)
+    if lo < hi:
+        what = f"node {cell}" if cell[0] == "n" else f"edge {cell[1]} too short"
+        return Violation("gap-cell", f"{s} {_slot_name(slot)}: {what}")
+    if cell[0] == "n":
+        what = f"node {cell[1]} off-level"
+    else:
+        what = f"edge {cell[1]} does not cross (unnormalized?)"
+    return Violation("level-cell", f"{s}@{lo}: {what}")
 
 
 # -- subdivision and restriction -----------------------------------------
@@ -491,12 +494,11 @@ def restrict_cellmap(
         hs = host[piece]
         per: dict[Slot, Cell] = {}
         for slot in out.slots_of(piece):
-            kind, i = slot
-            if kind == "L":
-                t = out.levels[i]
-                per[slot] = normalize_cell(m.target, m.cell_at(hs, t), t)
+            a, b = out.slot_range(slot)
+            if a == b:
+                per[slot] = normalize_cell(m.target, m.cell_at(hs, a), a)
             else:
-                per[slot] = m.cell_on(hs, out.levels[i], out.levels[i + 1])
+                per[slot] = m.cell_on(hs, a, b)
         assignment[piece] = per
     out.assignment = assignment
     return out
@@ -511,25 +513,20 @@ def _sweep(q: CellMap, p: CellMap, s: Simplex) -> tuple[list[Scalar], list[Scala
 
     Returns (grid, phi values).  Requires p's source to be q's target.
     """
-    lo, hi = q.simplex_range(s)
-    grid: list[Scalar] = []
-    phivals: list[Scalar] = []
-    i = bisect_left(q.levels, lo)
     gridset: set[Scalar] = set()
-    while i < len(q.levels) and q.levels[i] <= hi:
-        gridset.add(q.levels[i])
-        if i + 1 < len(q.levels) and q.levels[i + 1] <= hi:
-            a, b = q.levels[i], q.levels[i + 1]
-            cell = q.assignment[s][("G", i)]
+    for slot in q.slots_of(s):
+        a, b = q.slot_range(slot)
+        gridset.update((a, b))
+        cell = q.assignment[s][slot]
+        if cell[0] == "e":
             el, eh = q.target.edges[cell[1]]
             mid = (q.target.value(el) + q.target.value(eh)) / 2
             if a < mid < b:
                 gridset.add(mid)
-        i += 1
     grid = sorted(gridset)
-    for u in grid:
-        cell = q.cell_at(s, u)
-        phivals.append(p.value_at_graph_point(q.point_of_cell(cell, u)))
+    phivals = [
+        p.value_at_graph_point(q.point_of_cell(q.cell_at(s, u), u)) for u in grid
+    ]
     return grid, phivals
 
 
@@ -548,7 +545,7 @@ def _fold_values(grid: list[Scalar], phi: list[Scalar]) -> set[Scalar]:
 
 
 def _preimage_of_value(
-    grid: list[Scalar], phi: list[Scalar], t: Scalar
+    grid: Sequence[Scalar], phi: Sequence[Scalar], t: Scalar
 ) -> tuple[Scalar, Scalar]:
     """First and last u (in list order) where a sampled PL function equals
     t.  phi must be weakly increasing along the list; the grid itself may
@@ -610,25 +607,19 @@ def compose(p: CellMap, q: CellMap) -> CellMap:
             phi = phi[::-1]
         per: dict[Slot, Cell] = {}
         for slot in out.slots_of(s):
-            kind, i = slot
-            if kind == "L":
-                t = out.levels[i]
-                ua, ub = _preimage_of_value(grid, phi, t)
-                u = (ua + ub) / 2
-                ypt = qq.point_of_cell(qq.cell_at(s, u), u)
-                per[slot] = normalize_cell(p.target, p.cell_at_graph_point(ypt), t)
-            else:
-                a, b = out.levels[i], out.levels[i + 1]
-                ua = _preimage_of_value(grid, phi, a)[1]
-                ub = _preimage_of_value(grid, phi, b)[0]
-                u = (ua + ub) / 2
-                ypt = qq.point_of_cell(qq.cell_at(s, u), u)
-                cell = p.cell_at_graph_point(ypt)
-                if cell[0] != "e":
-                    raise ValueError(
-                        f"composite of {s} over gap ({a},{b}) landed on node {cell}"
-                    )
-                per[slot] = cell
+            # u: the middle of the source interval sweeping onto the slot
+            a, b = out.slot_range(slot)
+            ua = _preimage_of_value(grid, phi, a)[1]
+            ub = _preimage_of_value(grid, phi, b)[0]
+            u = (ua + ub) / 2
+            cell = p.cell_at_graph_point(qq.point_of_cell(qq.cell_at(s, u), u))
+            if a == b:
+                cell = normalize_cell(p.target, cell, a)
+            elif cell[0] != "e":
+                raise ValueError(
+                    f"composite of {s} over gap ({a},{b}) landed on node {cell}"
+                )
+            per[slot] = cell
         assignment[s] = per
     out.assignment = assignment
     return out
@@ -695,18 +686,5 @@ class MonotonePL:
         lo_v, hi_v = self.image
         if not lo_v <= t <= hi_v:
             raise ValueError("value not attained")
-        grid = [u for u, _ in self.breakpoints]
-        vals = [v for _, v in self.breakpoints]
-        first = last = None
-        for k in range(len(grid)):
-            if vals[k] == t and first is None:
-                first = grid[k]
-            if vals[k] == t:
-                last = grid[k]
-            if k + 1 < len(grid) and vals[k] < t < vals[k + 1]:
-                u = grid[k] + (t - vals[k]) * (grid[k + 1] - grid[k]) / (
-                    vals[k + 1] - vals[k]
-                )
-                return u, u
-        assert first is not None and last is not None
-        return first, last
+        us, vals = zip(*self.breakpoints)
+        return _preimage_of_value(us, vals, t)

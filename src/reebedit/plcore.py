@@ -95,6 +95,7 @@ class SimplicialComplex:
         self.simplices: frozenset[Simplex] = frozenset(simps)
         self._facets_cache: Optional[dict[Simplex, list[Simplex]]] = None
         self._cofaces_cache: Optional[dict[Simplex, list[Simplex]]] = None
+        self._connected: Optional[bool] = None
 
     @classmethod
     def from_simplices(cls, maximal: Iterable[Simplex]) -> "SimplicialComplex":
@@ -141,7 +142,9 @@ class SimplicialComplex:
         return [frozenset(c) for c in support_components(self, list(self.simplices))]
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        if self._connected is None:
+            self._connected = len(self.components()) <= 1
+        return self._connected
 
     def __contains__(self, s) -> bool:
         return tuple(sorted(s)) in self.simplices

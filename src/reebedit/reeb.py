@@ -10,7 +10,16 @@ endpoints.
 from __future__ import annotations
 
 from .graphs import GraphComplex, ReebGraph, complexify
-from .maps import Cell, CellMap, Slot, cellmap_from_hosting, level_ranks, rank_slots
+from .maps import (
+    Cell,
+    CellMap,
+    Slot,
+    cellmap_from_hosting,
+    gap_slot,
+    level_ranks,
+    level_slot,
+    rank_slots,
+)
 from .plcore import PLFunction, Simplex, SimplicialComplex, support_components
 
 
@@ -36,44 +45,38 @@ def compute_reeb(
             support.setdefault(slot, []).append(s)
 
     node_values: dict[int, object] = {}
-    node_of: list[dict[Simplex, int]] = []  # per level: simplex -> node id
+    cell_of: dict[Slot, dict[Simplex, Cell]] = {}  # per slot: simplex -> cell
     for k, t in enumerate(crit):
-        table: dict[Simplex, int] = {}
-        for comp in support_components(complex, support[("L", k)]):
-            nid = len(node_values)
+        table = cell_of[level_slot(k)] = {}
+        for comp in support_components(complex, support[level_slot(k)]):
+            node = ("n", len(node_values))
             for s in comp:
-                table[s] = nid
-            node_values[nid] = t
-        node_of.append(table)
+                table[s] = node
+            node_values[node[1]] = t
 
     edges: list[tuple[int, int]] = []
-    edge_of: list[dict[Simplex, int]] = []  # per gap: simplex -> edge id
     for k in range(len(crit) - 1):
-        table = {}
-        for comp in support_components(complex, support.get(("G", k), [])):
+        below, above = cell_of[level_slot(k)], cell_of[level_slot(k + 1)]
+        table = cell_of[gap_slot(k)] = {}
+        for comp in support_components(complex, support.get(gap_slot(k), [])):
             # every simplex over the gap spans it, so it appears in both
             # bounding level tables
-            lo_nodes = {node_of[k][s] for s in comp}
-            hi_nodes = {node_of[k + 1][s] for s in comp}
+            lo_nodes = {below[s][1] for s in comp}
+            hi_nodes = {above[s][1] for s in comp}
             if len(lo_nodes) != 1 or len(hi_nodes) != 1:
                 raise AssertionError(
                     f"gap component attaches ambiguously: {lo_nodes} / {hi_nodes}"
                 )
-            eid = len(edges)
+            edge = ("e", len(edges))
             edges.append((lo_nodes.pop(), hi_nodes.pop()))
             for s in comp:
-                table[s] = eid
-        edge_of.append(table)
+                table[s] = edge
 
     graph = ReebGraph(node_values, edges)
     # the map's levels are crit: vertex values are the node values and
     # vice versa, so its slots are the ones the simplices were filed under
     assignment: dict[Simplex, dict[Slot, Cell]] = {
-        s: {
-            (kind, i): ("n", node_of[i][s]) if kind == "L" else ("e", edge_of[i][s])
-            for kind, i in ss
-        }
-        for s, ss in slots.items()
+        s: {slot: cell_of[slot][s] for slot in ss} for s, ss in slots.items()
     }
     return graph, CellMap(complex, dict(f.values), graph, assignment)
 

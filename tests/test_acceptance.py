@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from reebedit.category import pullback, triangulate_limit, limit_projection
-from reebedit.cli import _cylinder_candidates
+from reebedit.metrics import _cylinder_candidates
 from reebedit.editdist import (
     build_homotopy_zigzag,
     compose_couplings,

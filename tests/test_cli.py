@@ -121,6 +121,20 @@ def test_zigzag_command(tmp_path, capsys):
     assert out.strip().endswith("1")
 
 
+def test_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
+    from reebedit import editdist
+    from reebedit.maps import Certificate, Violation
+
+    failed = Certificate(False, (), (Violation("fiber", "split fiber"),))
+    monkeypatch.setattr(editdist, "verify_reeb_quotient", lambda m: failed)
+    f_path, g_path = _cyl_files(tmp_path, capsys)
+    for argv in (("bound", f_path, g_path), ("zigzag", f_path, g_path)):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "[fiber] split fiber" in err
+
+
 def test_distortion_command(tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     code, out, _ = _run(

@@ -28,23 +28,25 @@ def test_normalize_cell_snaps_endpoints():
 
 
 def test_slots_and_cells_of_quotient():
-    cx, f, _ = random_instance(3, nverts=6)
-    r, p = compute_reeb(cx, f)
-    for s in cx.simplices:
-        lo, hi = p.simplex_range(s)
-        slots = p.slots_of(s)
-        assert slots, f"simplex {s} has no slots"
-        # every level and gap within the simplex range is covered
-        for slot in slots:
-            kind, i = slot
-            if kind == "L":
-                assert lo <= p.levels[i] <= hi
-            else:
-                assert lo <= p.levels[i] and p.levels[i + 1] <= hi
-        # cell_at agrees with the slot assignment at level values
-        t = (lo + hi) / 2
-        cell = p.cell_at(s, t)
-        assert cell[0] in ("n", "e")
+    for cx, f, _ in (random_instance(3, nverts=6), cylinder(6)):
+        r, p = compute_reeb(cx, f)
+        for s in cx.simplices:
+            lo, hi = p.simplex_range(s)
+            slots = list(p.slots_of(s))
+            assert slots, f"simplex {s} has no slots"
+            # the slots are one contiguous run
+            assert slots == list(range(slots[0], slots[-1] + 1))
+            # every level and gap within the simplex range is covered
+            ranges = [p.slot_range(slot) for slot in slots]
+            assert ranges[0][0] == lo and ranges[-1][1] == hi
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            for slot, (a, b) in zip(slots, ranges):
+                assert lo <= a <= b <= hi
+                assert p.slot_of((a + b) / 2) == slot
+            # cell_at agrees with the slot assignment at level values
+            t = (lo + hi) / 2
+            cell = p.cell_at(s, t)
+            assert cell[0] in ("n", "e")
 
 
 def test_vertex_image_values_match():
@@ -162,14 +164,14 @@ def _one_edge_map(edits):
         {0: F(0), 1: F(1), 2: F(2), 3: F(0)}, [(0, 2), (0, 1), (1, 2), (3, 2)]
     )
     assignment = {
-        (0,): {("L", 0): ("n", 0)},
-        (1,): {("L", 2): ("n", 2)},
+        (0,): {0: ("n", 0)},
+        (1,): {4: ("n", 2)},
         (0, 1): {
-            ("L", 0): ("n", 0),
-            ("G", 0): ("e", 0),
-            ("L", 1): ("e", 0),
-            ("G", 1): ("e", 0),
-            ("L", 2): ("n", 2),
+            0: ("n", 0),
+            1: ("e", 0),
+            2: ("e", 0),
+            3: ("e", 0),
+            4: ("n", 2),
         },
     }
     for (s, slot), cell in edits.items():
@@ -185,20 +187,20 @@ def _one_edge_map(edits):
     "edits, want",
     [
         (
-            {((0,), ("L", 0)): ("n", 1)},
+            {((0,), 0): ("n", 1)},
             [
                 ("level-cell", "(0,)@0: node 1 off-level"),
-                ("face", "face (0,) of (0, 1) disagrees at slot ('L', 0): "
+                ("face", "face (0,) of (0, 1) disagrees at level 0: "
                          "('n', 1) vs ('n', 0)"),
             ],
         ),
         (
-            {((0,), ("L", 0)): ("n", 3)},
-            [("face", "face (0,) of (0, 1) disagrees at slot ('L', 0): "
+            {((0,), 0): ("n", 3)},
+            [("face", "face (0,) of (0, 1) disagrees at level 0: "
                       "('n', 3) vs ('n', 0)")],
         ),
         (
-            {((0, 1), ("L", 1)): ("e", 1)},
+            {((0, 1), 2): ("e", 1)},
             [
                 ("level-cell", "(0, 1)@1: edge 1 does not cross (unnormalized?)"),
                 ("incidence", "(0, 1): gap 0 cell ('e', 0) vs level 1 cell ('e', 1)"),
@@ -206,11 +208,11 @@ def _one_edge_map(edits):
             ],
         ),
         (
-            {((0, 1), ("G", 0)): ("n", 1)},
+            {((0, 1), 1): ("n", 1)},
             [("gap-cell", "(0, 1) gap 0: node ('n', 1)")],
         ),
         (
-            {((0, 1), ("G", 1)): ("e", 1)},
+            {((0, 1), 3): ("e", 1)},
             [
                 ("gap-cell", "(0, 1) gap 1: edge 1 too short"),
                 ("incidence", "(0, 1): gap 1 cell ('e', 1) vs level 1 cell ('e', 0)"),
@@ -218,10 +220,10 @@ def _one_edge_map(edits):
             ],
         ),
         (
-            {((0, 1), ("G", 1)): None},
-            [("slots", "simplex (0, 1): have [('G', 0), ('L', 0), ('L', 1), "
-                       "('L', 2)], need [('L', 0), ('G', 0), ('L', 1), "
-                       "('G', 1), ('L', 2)]")],
+            {((0, 1), 3): None},
+            [("slots", "simplex (0, 1): have [level 0, gap 0, level 1, "
+                       "level 2], need [level 0, gap 0, level 1, gap 1, "
+                       "level 2]")],
         ),
     ],
 )

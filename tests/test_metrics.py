@@ -195,7 +195,7 @@ def test_plgraphmap_from_cellmap_agrees_with_quotient():
 
 
 def _cylinder_report(n: int, density: int = 1):
-    from reebedit.cli import _cylinder_candidates
+    from reebedit.metrics import _cylinder_candidates
 
     cx, f, g = cylinder(n)
     phi, psi = _cylinder_candidates(cx, f, g)
@@ -212,7 +212,7 @@ def test_cylinder_distortion_half_and_tight():
 
 
 def test_fd_upper_bound_picks_tight_candidate():
-    from reebedit.cli import _cylinder_candidates
+    from reebedit.metrics import _cylinder_candidates
 
     cx, f, g = cylinder(8)
     phi, psi = _cylinder_candidates(cx, f, g)
