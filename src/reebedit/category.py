@@ -6,15 +6,25 @@ tuples (x_1, …, x_k) whose images agree at every interface.  We enumerate
 the limit's cells as tuples of "pieces" — closed slabs of maximal
 simplices lying over a single graph cell on each side — glued by one
 linear constraint per interface, and compute every cell's vertices
-exactly.  Pullbacks and products are the one- and two-factor cases.
+exactly.  When every space carries a single map (every pullback does), the
+pieces are value slabs and a cell's vertices are products of simplex
+slices; other cells go through general vertex enumeration.  Pullbacks and
+products are the one- and two-factor cases.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
-from .geometry import LinearForm, dot, polytope_vertices, pulling_triangulation
+from .geometry import (
+    LinearForm,
+    Vector,
+    polytope_vertices,
+    pulling_triangulation,
+    simplex_slice,
+)
 from .graphs import GraphComplex, ReebGraph, complexify
 from .maps import (
     Cell,
@@ -131,19 +141,17 @@ def _factor_pieces(factor: int, ml: CellMap, mr: CellMap) -> list[Piece]:
     for s in ml.source.maximal_simplices():
         d = len(s)
         for ls in ml.slots_of(s):
-            rslots = [ls] if same else mr.slots_of(s)
-            for rs in rslots:
-                eqs, ineqs = _base_constraints(s, 0, d)
-                e1, i1 = _slot_constraints(ml, s, ls, d, 0, d)
-                e2, i2 = _slot_constraints(mr, s, rs, d, 0, d)
+            # a slab of one map is never empty: slots_of(s) lists only the
+            # slots that s's value range meets
+            for rs in [ls] if same else mr.slots_of(s):
                 if not same:
-                    eqs += e1 + e2
-                    ineqs += i1 + i2
-                else:
-                    eqs += e1
-                    ineqs += i1
-                if not polytope_vertices(d, eqs, ineqs):
-                    continue
+                    eqs, ineqs = _base_constraints(s, 0, d)
+                    for m, slot in ((ml, ls), (mr, rs)):
+                        e, i = _slot_constraints(m, s, slot, d, 0, d)
+                        eqs += e
+                        ineqs += i
+                    if not polytope_vertices(d, eqs, ineqs):
+                        continue
                 out.append(
                     Piece(
                         factor,
@@ -157,6 +165,89 @@ def _factor_pieces(factor: int, ml: CellMap, mr: CellMap) -> list[Piece]:
                     )
                 )
     return out
+
+
+def _cell_constraints(
+    factors: list[tuple[CellMap, CellMap]], chain: list[Piece], modes: list[tuple]
+) -> tuple[list[LinearForm], list[LinearForm]]:
+    """(equations, inequalities) of the limit cell over chain and modes, on
+    the concatenated barycentric coordinates of its pieces."""
+    offsets = []
+    total = 0
+    for p in chain:
+        offsets.append(total)
+        total += len(p.simplex)
+    eqs: list[LinearForm] = []
+    ineqs: list[LinearForm] = []
+    for p, off in zip(chain, offsets):
+        d = len(p.simplex)
+        ml, mr = factors[p.factor]
+        e0, i0 = _base_constraints(p.simplex, off, total)
+        e1, i1 = _slot_constraints(ml, p.simplex, p.lslot, d, off, total)
+        eqs += e0 + e1
+        ineqs += i0 + i1
+        if mr is not ml:
+            e2, i2 = _slot_constraints(mr, p.simplex, p.rslot, d, off, total)
+            eqs += e2
+            ineqs += i2
+    for j, mode in enumerate(modes):
+        a, b = chain[j], chain[j + 1]
+        mr = factors[a.factor][1]
+        ml = factors[b.factor][0]
+        ra = [ZERO] * total
+        for t, v in enumerate(a.simplex):
+            ra[offsets[j] + t] = mr.h[v]
+        lb = [ZERO] * total
+        for t, v in enumerate(b.simplex):
+            lb[offsets[j + 1] + t] = ml.h[v]
+        if mode[0] == "edge":
+            eqs.append((tuple(x - y for x, y in zip(ra, lb)), ZERO))
+        else:
+            val = mr.target.value(mode[1])
+            eqs.append((tuple(ra), val))
+            eqs.append((tuple(lb), val))
+    return eqs, ineqs
+
+
+def _fiber_product_vertices(
+    factors: list[tuple[CellMap, CellMap]], chain: list[Piece], modes: list[tuple]
+) -> list[Vector]:
+    """Sorted vertices of a limit cell whose factors each carry one map.
+
+    Each piece is the slab {x in its simplex : h(x) in its slot range}.  An
+    edge mode glues two pieces by h_a(x_a) = h_b(x_b), so a run of pieces
+    glued by edge modes shares one value t in [lo, hi], the intersection of
+    their slot ranges; a node mode pins the runs on both of its sides to the
+    node value.  The cell is the product of its runs.  A point of a run at
+    lo < t < hi is a vertex only if some piece sits at a simplex vertex of
+    value t, and there is none: every vertex value is a level of its map, so
+    no slot range has one strictly inside.  A run's vertices are therefore
+    the products of its pieces' slice vertices at t = lo and at t = hi.
+    """
+    runs: list[list[Piece]] = [[chain[0]]]
+    ranges: list[tuple[Scalar, Scalar]] = [chain[0].lrange]
+    for j, mode in enumerate(modes):
+        p = chain[j + 1]
+        if mode[0] == "node":
+            val = factors[p.factor][0].target.value(mode[1])
+            ranges[-1] = _meet(ranges[-1], (val, val))
+            runs.append([])
+            ranges.append((val, val))
+        runs[-1].append(p)
+        ranges[-1] = _meet(ranges[-1], p.lrange)
+    if any(lo > hi for lo, hi in ranges):
+        return []
+    per_run: list[list[Vector]] = []
+    for run, (lo, hi) in zip(runs, ranges):
+        hs = [[factors[p.factor][0].h[v] for v in p.simplex] for p in run]
+        per_run.append(
+            [
+                sum(combo, ())
+                for t in {lo, hi}
+                for combo in product(*(simplex_slice(row, t) for row in hs))
+            ]
+        )
+    return sorted(sum(combo, ()) for combo in product(*per_run))
 
 
 def _closure_nodes(g: ReebGraph, c: Cell) -> set[int]:
@@ -173,8 +264,11 @@ def _modes(g: ReebGraph, cr: Cell, cl: Cell) -> list[tuple]:
     return [("node", n) for n in sorted(_closure_nodes(g, cr) & _closure_nodes(g, cl))]
 
 
-def _intervals_meet(a: tuple[Scalar, Scalar], b: tuple[Scalar, Scalar]) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
+def _meet(
+    a: tuple[Scalar, Scalar], b: tuple[Scalar, Scalar]
+) -> tuple[Scalar, Scalar]:
+    """Intersection of two closed intervals; empty when lo > hi."""
+    return max(a[0], b[0]), min(a[1], b[1])
 
 
 def zigzag_limit(factors: list[tuple[CellMap, CellMap]]) -> LimitCellComplex:
@@ -190,59 +284,30 @@ def zigzag_limit(factors: list[tuple[CellMap, CellMap]]) -> LimitCellComplex:
         if not _same_graph(factors[i][1].target, factors[i + 1][0].target):
             raise ValueError(f"interface {i}: target graphs differ")
     pieces = [_factor_pieces(i, ml, mr) for i, (ml, mr) in enumerate(factors)]
+    single = all(ml is mr for ml, mr in factors)
 
     cells: list[LimitCell] = []
     seen: set[frozenset] = set()
 
     def finalize(chain: list[Piece], modes: list[tuple]):
-        offsets = []
-        total = 0
-        for p in chain:
-            offsets.append(total)
-            total += len(p.simplex)
-        eqs: list[LinearForm] = []
-        ineqs: list[LinearForm] = []
-        for p, off in zip(chain, offsets):
-            d = len(p.simplex)
-            ml, mr = factors[p.factor]
-            e0, i0 = _base_constraints(p.simplex, off, total)
-            e1, i1 = _slot_constraints(ml, p.simplex, p.lslot, d, off, total)
-            eqs += e0 + e1
-            ineqs += i0 + i1
-            if mr is not ml:
-                e2, i2 = _slot_constraints(mr, p.simplex, p.rslot, d, off, total)
-                eqs += e2
-                ineqs += i2
-        for j, mode in enumerate(modes):
-            a, b = chain[j], chain[j + 1]
-            mr = factors[a.factor][1]
-            ml = factors[b.factor][0]
-            ra = [ZERO] * total
-            for t, v in enumerate(a.simplex):
-                ra[offsets[j] + t] = mr.h[v]
-            lb = [ZERO] * total
-            for t, v in enumerate(b.simplex):
-                lb[offsets[j + 1] + t] = ml.h[v]
-            if mode[0] == "edge":
-                eqs.append((tuple(x - y for x, y in zip(ra, lb)), ZERO))
-            else:
-                val = mr.target.value(mode[1])
-                eqs.append((tuple(ra), val))
-                eqs.append((tuple(lb), val))
-        verts = polytope_vertices(total, eqs, ineqs)
+        eqs, ineqs = _cell_constraints(factors, chain, modes)
+        if single:
+            verts = _fiber_product_vertices(factors, chain, modes)
+        else:
+            total = sum(len(p.simplex) for p in chain)
+            verts = polytope_vertices(total, eqs, ineqs)
         if not verts:
             return
         vkeys: list[VertexKey] = []
         coords: dict[VertexKey, tuple[Fraction, ...]] = {}
         for pt in verts:
             key_parts: list[Location] = []
-            for p, off in zip(chain, offsets):
-                loc = tuple(
-                    (v, pt[off + t])
-                    for t, v in enumerate(p.simplex)
-                    if pt[off + t] != 0
-                )
-                key_parts.append(loc)
+            off = 0
+            for p in chain:
+                d = len(p.simplex)
+                block = zip(p.simplex, pt[off : off + d])
+                key_parts.append(tuple((v, x) for v, x in block if x != 0))
+                off += d
             key = tuple(key_parts)
             vkeys.append(key)
             coords[key] = pt
@@ -266,7 +331,8 @@ def zigzag_limit(factors: list[tuple[CellMap, CellMap]]) -> LimitCellComplex:
             prev = chain[-1]
             for mode in _modes(g, prev.rcell, p.lcell):
                 if mode[0] == "edge":
-                    if not _intervals_meet(prev.rrange, p.lrange):
+                    lo, hi = _meet(prev.rrange, p.lrange)
+                    if lo > hi:
                         continue
                 else:
                     val = g.value(mode[1])

@@ -1,9 +1,12 @@
 """Exact rational linear algebra and tiny-dimension polytope utilities.
 
 Everything here works over fractions.Fraction.  Polytopes show up as
-products of simplex slices cut by value constraints; dimensions stay small
-(at most a handful), so vertex enumeration by tight-constraint
-combinations and pulling triangulations are perfectly adequate.
+slabs of simplices and products of such slabs glued by value equations.
+Their vertices have a closed form built from `simplex_slice`, the vertices
+of one level slice of a simplex.  `polytope_vertices` enumerates the
+vertices of a general H-polytope by solving every d-subset of tight
+inequalities, C(m, d) solves; it is kept for the polytopes with no closed
+form (limit cells of two-map zigzag factors) and as the tests' oracle.
 """
 from __future__ import annotations
 
@@ -131,6 +134,29 @@ def polytope_vertices(
         if s is not None and feasible(s):
             verts.add(lift(s))
     return sorted(verts)
+
+
+def simplex_slice(hs: Sequence[Fraction], t: Fraction) -> list[Vector]:
+    """Vertices of the slice {x in simplex : sum_j x_j hs[j] = t}.
+
+    hs are the values of a linear function at the simplex's vertices and x
+    are barycentric coordinates.  The vertices are the simplex vertices with
+    value t and one point on each edge whose endpoints lie strictly on
+    opposite sides of t.
+    """
+    d = len(hs)
+    out: list[Vector] = [
+        tuple(ONE if i == j else ZERO for i in range(d))
+        for j, hj in enumerate(hs)
+        if hj == t
+    ]
+    for i, j in combinations(range(d), 2):
+        if (hs[i] - t) * (hs[j] - t) < 0:
+            lam = (t - hs[i]) / (hs[j] - hs[i])
+            pt = [ZERO] * d
+            pt[i], pt[j] = ONE - lam, lam
+            out.append(tuple(pt))
+    return out
 
 
 def affine_dim(points: Sequence[Vector]) -> int:

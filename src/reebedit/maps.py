@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import LinearForm, polytope_vertices, pulling_triangulation
+from .geometry import LinearForm, pulling_triangulation, simplex_slice
 from .graphs import GraphComplex, GraphPoint, ReebGraph, point_on_edge
 from .plcore import Scalar, Simplex, SimplicialComplex, support_components
 
@@ -405,29 +405,19 @@ def subdivide_at_levels(
     new_simplices: list[tuple] = []
     host: dict[Simplex, Simplex] = {}
     for s in complex.maximal_simplices():
-        vals = [h[v] for v in s]
-        lo, hi = min(vals), max(vals)
+        hs = [h[v] for v in s]
+        lo, hi = min(hs), max(hs)
         inner = [c for c in all_cuts if lo < c < hi]
         if not inner:
             new_simplices.append(s)
             for face in _faces_of(s):
                 host.setdefault(face, face)
             continue
-        # barycentric coordinates on s; constraints x >= 0, sum = 1
+        # barycentric coordinates on s; constraints x >= 0 and a <= h <= b
         d = len(s)
-        verts: dict[int, tuple] = {}
-        coords: dict[int, tuple] = {}
-        for j, v in enumerate(s):
-            e = [Fraction(0)] * d
-            e[j] = Fraction(1)
-            coords[v] = tuple(e)
-        hs = [h[v] for v in s]
         bounds = [lo] + inner + [hi]
         for k in range(len(bounds) - 1):
             a, b = bounds[k], bounds[k + 1]
-            eqs: list[LinearForm] = [
-                (tuple(Fraction(1) for _ in range(d)), Fraction(1))
-            ]
             ineqs: list[LinearForm] = []
             for j in range(d):
                 e = [Fraction(0)] * d
@@ -435,9 +425,15 @@ def subdivide_at_levels(
                 ineqs.append((tuple(e), Fraction(0)))
             ineqs.append((tuple(-x for x in hs), -a))
             ineqs.append((tuple(hs), b))
-            pts = polytope_vertices(d, eqs, ineqs)
+            # the slab's vertices: both end slices and the vertices between
+            pts = simplex_slice(hs, a) + simplex_slice(hs, b)
+            pts += [
+                tuple(Fraction(int(i == j)) for i in range(d))
+                for j in range(d)
+                if a < hs[j] < b
+            ]
             slab_verts: dict[int, tuple] = {}
-            for p in pts:
+            for p in sorted(pts):
                 supp = [j for j in range(d) if p[j] != 0]
                 if len(supp) == 1:
                     vid = s[supp[0]]
@@ -451,9 +447,6 @@ def subdivide_at_levels(
                 new_simplices.append(tuple(sorted(simp)))
     sliced = SimplicialComplex.from_simplices(new_simplices)
     # host: smallest old simplex whose vertex set's extension covers the piece
-    vert_host: dict[int, int] = {}
-    for v in complex.vertices:
-        vert_host[v] = v
     edge_of_cut: dict[int, tuple] = {}
     for (u, w, _c), vid in cut_vertex.items():
         edge_of_cut[vid] = (u, w)

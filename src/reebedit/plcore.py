@@ -23,10 +23,13 @@ def parse_scalar(x) -> Fraction:
     """Parse a decimal or 'p/q' string (or int/Fraction) into an exact rational."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise TypeError("floating point input is not accepted; use strings or ints")
     raise TypeError(f"cannot parse scalar from {type(x).__name__}")
@@ -82,16 +85,12 @@ class SimplicialComplex:
     construction when built through :meth:`from_simplices`.
     """
 
-    MAX_DIM = 3
-
     def __init__(self, simplices: Iterable[Simplex], check: bool = True):
         simps = {tuple(sorted(s)) for s in simplices}
         if check:
             for s in simps:
                 if len(set(s)) != len(s):
                     raise ValueError(f"simplex with repeated vertex: {s}")
-                if len(s) - 1 > self.MAX_DIM:
-                    raise ValueError(f"simplex dimension above {self.MAX_DIM}: {s}")
         self.simplices: frozenset[Simplex] = frozenset(simps)
         self._facets_cache: Optional[dict[Simplex, list[Simplex]]] = None
         self._cofaces_cache: Optional[dict[Simplex, list[Simplex]]] = None

@@ -15,6 +15,11 @@ from .plcore import (
     parse_scalar,
 )
 
+# Input instances are complexes of dimension at most 3.  The library's own
+# constructions may go higher: a fiber product of two triangles over one
+# value is 4-dimensional.
+MAX_INPUT_DIM = 3
+
 
 def instance_to_dict(cx: SimplicialComplex, f: PLFunction) -> dict:
     return {
@@ -36,15 +41,28 @@ def _vertex_id(v) -> int:
     return _int_id(v, "instance", "vertex id")
 
 
+def _values_by_id(entries, where: str, what: str) -> dict:
+    values = {}
+    for entry in entries:
+        i = _int_id(entry["id"], where, what)
+        if i in values:
+            raise ValueError(f"malformed {where}: duplicate {what} {i}")
+        values[i] = parse_scalar(entry["value"])
+    return values
+
+
 def instance_from_dict(data: dict) -> tuple[SimplicialComplex, PLFunction]:
     try:
-        values = {
-            _vertex_id(v["id"]): parse_scalar(v["value"])
-            for v in data["vertices"]
-        }
+        values = _values_by_id(data["vertices"], "instance", "vertex id")
         simplices = [tuple(map(_vertex_id, s)) for s in data["simplices"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance: {exc}") from exc
+    for s in simplices:
+        if len(s) - 1 > MAX_INPUT_DIM:
+            raise ValueError(
+                f"malformed instance: simplex dimension above {MAX_INPUT_DIM}: "
+                f"{list(s)}"
+            )
     simplices += [(v,) for v in values]
     cx = SimplicialComplex.from_simplices(simplices)
     if set(cx.vertices) - set(values):
@@ -64,10 +82,7 @@ def graph_to_dict(g: ReebGraph) -> dict:
 
 def graph_from_dict(data: dict) -> ReebGraph:
     try:
-        values = {
-            _int_id(n["id"], "graph", "node id"): parse_scalar(n["value"])
-            for n in data["nodes"]
-        }
+        values = _values_by_id(data["nodes"], "graph", "node id")
         edges = []
         for e in data["edges"]:
             if not isinstance(e, list) or len(e) != 2:

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reebedit import category
 from reebedit.category import (
     induced_map,
     limit_projection,
@@ -10,6 +14,7 @@ from reebedit.category import (
     zigzag_limit,
 )
 from reebedit.generators import cylinder, random_instance
+from reebedit.geometry import polytope_vertices
 from reebedit.graphs import graph_isomorphic, minimalize
 from reebedit.maps import MonotonePL, verify_reeb_quotient
 from reebedit.plcore import PLFunction
@@ -30,6 +35,46 @@ def test_pullback_projections_certified_and_connected(seed):
     pr1 = limit_projection(T, 1, ident)
     assert verify_reeb_quotient(pr0).ok
     assert verify_reeb_quotient(pr1).ok
+
+
+def _limit_contents(L):
+    cells = [(c.pieces, c.modes, c.vkeys, c.coords, c.ineqs) for c in L.cells]
+    return cells, L.vertex_ids, L.locations, L.values
+
+
+def _vertices_by_enumeration(factors, chain, modes):
+    eqs, ineqs = category._cell_constraints(factors, chain, modes)
+    return polytope_vertices(sum(len(p.simplex) for p in chain), eqs, ineqs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    nverts=st.integers(3, 5),
+    kind=st.sampled_from(["identity", "self", "constant-middle", "chain3"]),
+)
+def test_fiber_product_cells_match_polytope_vertices_property(seed, nverts, kind):
+    # closed-form cell vertices against tight-set enumeration on each cell's
+    # own equations and inequalities, over every cell zigzag_limit tries
+    cx, f, _ = random_instance(seed, nverts=nverts, triangles=2)
+    if kind == "constant-middle":
+        tri = max(cx.simplices, key=len)
+        f = PLFunction(cx, {v: f(tri[0]) if v in tri else f(v) for v in cx.vertices})
+    r, p = compute_reeb(cx, f)
+    ident = graph_identity_map(r)
+    factors = {
+        "identity": [(p, p), (ident, ident)],
+        "self": [(p, p), (p, p)],
+        "constant-middle": [(p, p), (p, p)],
+        "chain3": [(ident, ident), (p, p), (ident, ident)],
+    }[kind]
+    L = zigzag_limit(factors)
+    assert L.cells
+    with mock.patch.object(
+        category, "_fiber_product_vertices", _vertices_by_enumeration
+    ):
+        oracle = zigzag_limit(factors)
+    assert _limit_contents(L) == _limit_contents(oracle)
 
 
 def test_pullback_with_itself_spread_zero():

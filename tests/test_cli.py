@@ -1,8 +1,17 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reebedit.cli import main
+from reebedit.generators import random_instance
+from reebedit.reeb import compute_reeb
+from reebedit.serialize import graph_to_dict, instance_to_dict
 
 
 def _run(capsys, *argv):
@@ -209,3 +218,149 @@ def test_usage_errors(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "malformed graph" in err
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "vertices": [{"id": v, "value": str(v)} for v in range(5)],
+        "simplices": [[0, 1, 2, 3, 4]],
+    }))
+    code, _, err = _run(capsys, "reeb", str(big))
+    assert code == 2
+    assert "malformed instance: simplex dimension above 3" in err
+
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3)
+)
+NON_ITERABLE = st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+NOT_INT = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.lists(SCALARS, max_size=2)
+    | st.dictionaries(st.text(max_size=2), SCALARS, max_size=2)
+)
+BAD_VALUE = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.lists(SCALARS, max_size=2)
+    | st.dictionaries(st.text(max_size=2), SCALARS, max_size=2)
+    | st.sampled_from(["", "x", "1/0", "-3/0", "nan", "inf", "--1", "1/2/3"])
+)
+TOP_LEVEL = SCALARS | st.lists(SCALARS, max_size=3)
+
+
+def _malform_entries(draw, data, entries_key):
+    """Break one id/value entry list of an instance or graph dict."""
+    entries = data[entries_key]
+    i = draw(st.integers(0, len(entries) - 1))
+    kind = draw(st.sampled_from(["entry", "key", "id", "value", "duplicate"]))
+    if kind == "entry":
+        entries[i] = draw(SCALARS | st.lists(SCALARS, max_size=2))
+    elif kind == "key":
+        del entries[i][draw(st.sampled_from(["id", "value"]))]
+    elif kind == "id":
+        entries[i]["id"] = draw(NOT_INT)
+    elif kind == "value":
+        entries[i]["value"] = draw(BAD_VALUE)
+    else:
+        entries.append({"id": entries[i]["id"], "value": "0"})
+
+
+@st.composite
+def malformed_instances(draw):
+    cx, f, _ = random_instance(draw(st.integers(0, 99)), nverts=5)
+    data = instance_to_dict(cx, f)
+    ids = sorted(v["id"] for v in data["vertices"])
+    simplices = data["simplices"]
+    j = draw(st.integers(0, len(simplices) - 1))
+    kind = draw(st.sampled_from([
+        "top", "missing", "container", "entries", "simplex",
+        "simplex vertex", "unknown vertex", "repeated vertex", "dimension",
+    ]))
+    if kind == "top":
+        return draw(TOP_LEVEL)
+    if kind == "missing":
+        del data[draw(st.sampled_from(["vertices", "simplices"]))]
+    elif kind == "container":
+        data[draw(st.sampled_from(["vertices", "simplices"]))] = draw(NON_ITERABLE)
+    elif kind == "entries":
+        _malform_entries(draw, data, "vertices")
+    elif kind == "simplex":
+        simplices[j] = draw(NON_ITERABLE)
+    elif kind == "simplex vertex":
+        simplices[j][draw(st.integers(0, len(simplices[j]) - 1))] = draw(NOT_INT)
+    elif kind == "unknown vertex":
+        simplices.append([ids[0], ids[-1] + 1])
+    elif kind == "repeated vertex":
+        simplices.append([ids[j % len(ids)]] * 2)
+    else:
+        simplices.append(ids[:5])
+    return data
+
+
+@st.composite
+def malformed_graphs(draw):
+    cx, f, _ = random_instance(draw(st.integers(0, 99)), nverts=4)
+    data = graph_to_dict(compute_reeb(cx, f)[0])
+    edges = data["edges"]
+    assume(edges)
+    j = draw(st.integers(0, len(edges) - 1))
+    kind = draw(st.sampled_from([
+        "top", "missing", "container", "entries", "edge", "edge length",
+        "endpoint", "unknown endpoint", "reversed", "loop",
+    ]))
+    if kind == "top":
+        return draw(TOP_LEVEL)
+    if kind == "missing":
+        del data[draw(st.sampled_from(["nodes", "edges"]))]
+    elif kind == "container":
+        data[draw(st.sampled_from(["nodes", "edges"]))] = draw(NON_ITERABLE)
+    elif kind == "entries":
+        _malform_entries(draw, data, "nodes")
+    elif kind == "edge":
+        edges[j] = draw(NON_ITERABLE | st.text(max_size=3) | st.dictionaries(
+            st.text(max_size=2), SCALARS, max_size=2))
+    elif kind == "edge length":
+        edges[j] = draw(st.sampled_from([[], edges[j][:1], edges[j] + edges[j][:1]]))
+    elif kind == "endpoint":
+        edges[j][draw(st.integers(0, 1))] = draw(NOT_INT)
+    elif kind == "unknown endpoint":
+        edges[j][1] = max(n["id"] for n in data["nodes"]) + 1
+    elif kind == "reversed":
+        edges[j] = edges[j][::-1]
+    else:
+        edges[j] = [edges[j][0]] * 2
+    return data
+
+
+def _main_on_json(data, *argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([a.replace("{}", path) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_instances())
+def test_malformed_instance_json_exits_2_property(data):
+    code, out, err = _main_on_json(data, "reeb", "{}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_graphs())
+def test_malformed_graph_json_exits_2_property(data):
+    code, out, err = _main_on_json(data, "bound", "{}", "--point", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,30 @@ def test_compose_couplings_certified_and_triangle():
     assert verify_reeb_quotient(comp.p_f).ok
     assert verify_reeb_quotient(comp.p_g).ok
     assert coupling_bound(comp) <= coupling_bound(c1) + coupling_bound(c2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compose_couplings_with_constant_middle_triangle(seed):
+    # g constant on a triangle: the fiber product over that value has
+    # 4-dimensional cells (a product of two triangles)
+    cx, f, g = random_instance(seed, nverts=4, triangles=1, second_function=True)
+    (tri,) = [s for s in cx.simplices if len(s) == 3]
+    g = PLFunction(cx, {v: g(tri[0]) if v in tri else g(v) for v in cx.vertices})
+    rng = random.Random(seed)
+    h = PLFunction(
+        cx, {v: F(rng.randint(-8, 8), rng.randint(1, 3)) for v in cx.vertices}
+    )
+    _, pf = compute_reeb(cx, f)
+    _, pg = compute_reeb(cx, g)
+    _, ph = compute_reeb(cx, h)
+    c1, c2 = coupling(pf, pg), coupling(pg, ph)
+    comp = compose_couplings(c1, c2)
+    assert max(len(s) for s in comp.p_f.source.simplices) == 5
+    for m in (c1.p_f, c1.p_g, c2.p_g, comp.p_f, comp.p_g):
+        assert verify_reeb_quotient(m).ok
+    gap = max(abs(f.max() - h.max()), abs(f.min() - h.min()))
+    b1, b2 = coupling_bound(c1), coupling_bound(c2)
+    assert gap <= coupling_bound(comp) <= b1 + b2
 
 
 def test_zigzag_from_coupling_cost_equals_bound():

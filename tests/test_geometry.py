@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from reebedit.geometry import dot, polytope_vertices, rref, solve_affine
+from reebedit.geometry import dot, polytope_vertices, rref, simplex_slice, solve_affine
 
 F = Fraction
 
@@ -75,3 +75,16 @@ def test_polytope_vertices_on_affine_slice():
 def test_polytope_vertices_empty():
     ineqs = [((F(1),), F(0)), ((F(-1),), F(-1))]
     assert polytope_vertices(1, [], ineqs) == []
+
+
+def test_simplex_slice_vertices():
+    hs = [F(0), F(2), F(2), F(4)]
+    # two simplex vertices at value 2, then the crossing of edge (0, 3)
+    assert simplex_slice(hs, F(2)) == [
+        (F(0), F(1), F(0), F(0)),
+        (F(0), F(0), F(1), F(0)),
+        (F(1, 2), F(0), F(0), F(1, 2)),
+    ]
+    # value 3/2 cuts the four edges from vertices {0, 1} to vertices {2, 3}
+    assert len(simplex_slice([F(0), F(1), F(2), F(3)], F(3, 2))) == 4
+    assert simplex_slice(hs, F(5)) == []

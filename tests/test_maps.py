@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,26 @@ def test_subdivide_at_levels_slices_exactly():
             # v sits at h = 1 on an old simplex; g must interpolate there
             assert F(0) <= extras[0][v] <= F(3)
     assert set(new_h[v] for v in sub.vertices) >= {F(1), F(3)}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subdivide_at_levels_tiles_each_triangle(seed):
+    # the slab pieces of a triangle, drawn in the plane through two
+    # interpolated coordinate functions, have the triangle's total area
+    cx, f, _ = random_instance(seed, nverts=6, triangles=4)
+    rng = random.Random(seed)
+    xy = [{v: F(rng.randint(-9, 9)) for v in cx.vertices} for _ in range(2)]
+    cuts = {F(rng.randint(-16, 16), rng.randint(1, 4)) for _ in range(4)}
+
+    def area(s, x, y):
+        (a, b, c) = s
+        return abs((x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a])) / 2
+
+    sub, _, (x, y), host = subdivide_at_levels(cx, dict(f.values), cuts, xy)
+    assert set(cx.vertices) <= set(sub.vertices)
+    for t in (s for s in cx.simplices if len(s) == 3):
+        pieces = [s for s in sub.simplices if len(s) == 3 and host[s] == t]
+        assert sum(area(s, x, y) for s in pieces) == area(t, *xy)
 
 
 @pytest.mark.parametrize("seed", range(10))
