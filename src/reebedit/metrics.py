@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphs import GraphPoint, ReebGraph, minimalize, point_on_edge
 from .maps import CellMap
@@ -20,10 +20,6 @@ from .plcore import Scalar, UnionFind
 from .reeb import compute_reeb
 
 ZERO = Fraction(0)
-
-
-def _point_value(g: ReebGraph, p: GraphPoint) -> Scalar:
-    return p.value(g)
 
 
 def d_matrix(
@@ -36,7 +32,7 @@ def d_matrix(
     components first merge, so total pair work is near-linear.
     """
     n = len(points)
-    vals = [_point_value(g, p) for p in points]
+    vals = [p.value(g) for p in points]
     candidates = sorted(set(g.node_values.values()) | set(vals))
     best: dict[tuple[int, int], Scalar] = {}
 
@@ -288,15 +284,7 @@ def distortion(
     gf, gg = phi.source, phi.target
     if psi.source is not gg and psi.source.node_values != gg.node_values:
         raise ValueError("psi must map the target graph of phi back")
-    samples_f = sample_points(gf, density)
-    samples_g = sample_points(gg, density)
-    samples_f = _dedupe(samples_f + _map_breakpoints(phi))
-    samples_g = _dedupe(samples_g + _map_breakpoints(psi))
-
-    # correspondence corners: (p, φp) for p in R_f, (ψq, q) for q in R_g
-    corners = _dedupe(
-        [(p, phi(p)) for p in samples_f] + [(psi(q), q) for q in samples_g]
-    )
+    samples_f, samples_g, corners = _sampled_corners(phi, psi, density)
 
     # Each branch of the correspondence is a one-parameter family; the gaps
     # between consecutive samples along an edge are its linearity cells.
@@ -366,6 +354,17 @@ def distortion(
     )
 
 
+def _sampled_corners(phi: PLGraphMap, psi: PLGraphMap, density: int):
+    """Samples on both graphs (with each map's breakpoints) and the
+    correspondence corners (p, φp) for p in R_f, (ψq, q) for q in R_g."""
+    samples_f = _dedupe(sample_points(phi.source, density) + _map_breakpoints(phi))
+    samples_g = _dedupe(sample_points(phi.target, density) + _map_breakpoints(psi))
+    corners = _dedupe(
+        [(p, phi(p)) for p in samples_f] + [(psi(q), q) for q in samples_g]
+    )
+    return samples_f, samples_g, corners
+
+
 def _dedupe(points: list[GraphPoint]) -> list[GraphPoint]:
     seen = set()
     out = []
@@ -422,11 +421,7 @@ def correspondence_table(
     """Rows (p1, q1, p2, q2, d_f(p1,p2), d_g(q1,q2)) over all sampled
     correspondence pairs, for export and inspection."""
     gf, gg = phi.source, phi.target
-    samples_f = _dedupe(sample_points(gf, density) + _map_breakpoints(phi))
-    samples_g = _dedupe(sample_points(gg, density) + _map_breakpoints(psi))
-    corners = _dedupe(
-        [(p, phi(p)) for p in samples_f] + [(psi(q), q) for q in samples_g]
-    )
+    _, _, corners = _sampled_corners(phi, psi, density)
     idx_f = _index([p for p, _ in corners])
     idx_g = _index([q for _, q in corners])
     mf = d_matrix(gf, list(idx_f))

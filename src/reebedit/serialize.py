@@ -58,6 +58,8 @@ def instance_from_dict(data: dict) -> tuple[SimplicialComplex, PLFunction]:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance: {exc}") from exc
     for s in simplices:
+        if not s:
+            raise ValueError("malformed instance: empty simplex")
         if len(s) - 1 > MAX_INPUT_DIM:
             raise ValueError(
                 f"malformed instance: simplex dimension above {MAX_INPUT_DIM}: "

@@ -144,13 +144,15 @@ def test_criterion_5_homotopy_stability_suite(report):
                 seed, nverts=3 + seed % 4, value_range=(-4, 4),
                 second_function=True,
             )
-            z, cost = build_homotopy_zigzag(cx, f, g)
+            z, cert = build_homotopy_zigzag(cx, f, g)
             z.validate()  # re-certifies every map in the diagram
             norm = max(abs(f(v) - g(v)) for v in cx.vertices)
-            assert cost <= norm
+            assert cert.cost == norm == sum(cert.stage_gaps)
+            w = cert.witness_vertex
+            assert abs(f(w) - g(w)) == norm
         assert time.perf_counter() - start < 60.0
 
-    report("criterion 5: homotopy zigzags certified, cost <= ||f-g|| "
+    report("criterion 5: homotopy zigzags certified, cost = ||f-g|| "
            "(100 pairs, < 60 s)", check)
 
 

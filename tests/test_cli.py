@@ -169,7 +169,9 @@ def test_homotopy_command(tmp_path, capsys):
     assert code == 0
     assert "cost <= ||f-g||: OK" in out
     witness = json.loads(w_path.read_text())
-    assert {"lambdas", "graphs", "cost"} <= set(witness)
+    assert set(witness) == {
+        "lambdas", "graphs", "cost", "witness_vertex", "stage_gaps"
+    }
     assert len(witness["lambdas"]) == len(witness["graphs"])
 
 
@@ -185,6 +187,8 @@ def test_homotopy_witness_lambdas_are_breakpoints(tmp_path, capsys):
     assert code == 0
     witness = json.loads(w_path.read_text())
     assert witness["lambdas"] == ["0", "2/5", "2/3", "6/7", "1"]
+    assert witness["stage_gaps"] == ["2/5", "4/15", "4/21", "1/7"]
+    assert witness["cost"] == "1"
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -226,6 +230,16 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = _run(capsys, "reeb", str(big))
     assert code == 2
     assert "malformed instance: simplex dimension above 3" in err
+    empty = tmp_path / "empty.json"
+    for simplex in ([], {}, ""):
+        empty.write_text(json.dumps({
+            "vertices": [{"id": 0, "value": "0"}, {"id": 1, "value": "1"}],
+            "simplices": [[0, 1], simplex],
+        }))
+        code, out, err = _run(capsys, "reeb", str(empty))
+        assert code == 2
+        assert out == ""
+        assert "malformed instance: empty simplex" in err
 
 
 SCALARS = (
@@ -282,6 +296,7 @@ def malformed_instances(draw):
     kind = draw(st.sampled_from([
         "top", "missing", "container", "entries", "simplex",
         "simplex vertex", "unknown vertex", "repeated vertex", "dimension",
+        "empty simplex",
     ]))
     if kind == "top":
         return draw(TOP_LEVEL)
@@ -299,6 +314,8 @@ def malformed_instances(draw):
         simplices.append([ids[0], ids[-1] + 1])
     elif kind == "repeated vertex":
         simplices.append([ids[j % len(ids)]] * 2)
+    elif kind == "empty simplex":
+        simplices[j] = draw(st.sampled_from([[], {}, ""]))
     else:
         simplices.append(ids[:5])
     return data

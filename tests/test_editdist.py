@@ -9,6 +9,7 @@ from reebedit.category import zigzag_limit
 from reebedit.editdist import (
     BoundRegistry,
     ZigzagDiagram,
+    _certify_homotopy,
     build_homotopy_zigzag,
     collapse_map,
     compose_couplings,
@@ -25,7 +26,7 @@ from reebedit.editdist import (
     zigzag_from_coupling,
 )
 from reebedit.generators import cylinder, random_instance
-from reebedit.maps import verify_reeb_quotient
+from reebedit.maps import CertificationError, verify_reeb_quotient
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb
 
@@ -145,32 +146,28 @@ def test_zigzag_diagram_validation_catches_mismatch():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_zigzag_cost_matches_limit_spread(seed):
-    # the dynamic program must agree with the explicit limit construction
+    # the certified cost must agree with the explicit limit construction
     cx, f, g = random_instance(seed, nverts=3, second_function=True)
-    z, cost = build_homotopy_zigzag(cx, f, g)
+    z, cert = build_homotopy_zigzag(cx, f, g)
     if len(z.maps) > 3:
         pytest.skip("limit enumeration too large for the oracle")
     L = zigzag_limit(z.maps)
-    assert cost == L.spread()
+    assert cert.cost == L.spread()
 
 
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**20), nverts=st.integers(3, 4))
-def test_zigzag_cost_matches_limit_spread_property(seed, nverts):
-    # the forward max-plus pass against the explicit limit, on the zigzag
-    # h -> f -> g with h = (f + g) / 2: unlike a single homotopy zigzag,
-    # its spread is not always attained with the first graph as one end.
-    # The limit oracle grows multiplicatively with the number of spaces
+def test_homotopy_cost_matches_limit_spread_property(seed, nverts):
+    # the certified closed form against the explicit limit and the norm;
+    # the limit oracle grows multiplicatively with the number of spaces
     # (a 3-space limit over 4 vertices takes 5-16 s), so larger zigzags
-    # are skipped.
+    # are skipped
     max_spaces = 3 if nverts == 3 else 2
     cx, f, g = random_instance(seed, nverts=nverts, second_function=True)
-    z_fg, _ = build_homotopy_zigzag(cx, f, g)
-    assume(len(z_fg.maps) < max_spaces)
-    z_hf, _ = build_homotopy_zigzag(cx, interpolate(f, g, F(1, 2)), f)
-    z = ZigzagDiagram(z_hf.graphs + z_fg.graphs[1:], z_hf.maps + z_fg.maps)
+    z, cert = build_homotopy_zigzag(cx, f, g)
     assume(len(z.maps) <= max_spaces)
-    assert zigzag_cost(z) == zigzag_limit(z.maps).spread()
+    norm = max(abs(f(v) - g(v)) for v in cx.vertices)
+    assert cert.cost == zigzag_limit(z.maps).spread() == norm
 
 
 def test_interpolate_endpoints():
@@ -228,16 +225,34 @@ def test_induced_quotient_rejects_bad_reparam():
 @pytest.mark.parametrize("seed", range(8))
 def test_homotopy_zigzag_certified_and_stable(seed):
     cx, f, g = random_instance(seed, nverts=5, second_function=True)
-    z, cost = build_homotopy_zigzag(cx, f, g)
+    z, cert = build_homotopy_zigzag(cx, f, g)
     z.validate()
     norm = max(abs(f(v) - g(v)) for v in cx.vertices)
-    assert cost <= norm
+    assert cert.cost == norm
+    w = cert.witness_vertex
+    assert abs(f(w) - g(w)) == norm
+    assert len(cert.stage_gaps) == len(z.maps)
+    assert sum(cert.stage_gaps) == norm
+    lams = z.lambdas
+    assert list(cert.stage_gaps) == [
+        (b - a) * norm for a, b in zip(lams, lams[1:])
+    ]
+
+
+def test_homotopy_certificate_rejects_gaps_that_miss_the_norm():
+    cx, f, g = random_instance(3, nverts=5, second_function=True)
+    sched = homotopy_breakpoints(cx, f, g)
+    assert len(sched.chis) > 1
+    sched.xis[0] = sched.chis[0]  # stage 0 now closes no gap
+    with pytest.raises(CertificationError, match="stage gaps sum to"):
+        _certify_homotopy(cx, f, g, sched)
 
 
 def test_homotopy_zigzag_identical_functions_costs_zero():
     cx, f, _ = random_instance(4, nverts=5)
-    z, cost = build_homotopy_zigzag(cx, f, f)
-    assert cost == F(0)
+    z, cert = build_homotopy_zigzag(cx, f, f)
+    assert cert.cost == F(0)
+    assert cert.stage_gaps == (F(0),)
     assert len(z.graphs) == 2  # no interior breakpoints
 
 
