@@ -32,8 +32,11 @@ from .maps import (
     MonotonePL,
     Slot,
     _same_graph,
-    normalize_cell,
+    level_ranks,
+    level_slot,
+    refine_slots,
     restrict_cellmap,
+    slot_in,
 )
 from .plcore import Scalar, Simplex, SimplicialComplex, UnionFind
 
@@ -426,6 +429,37 @@ def limit_projection(T: TriangulatedLimit, factor: int, m: CellMap) -> CellMap:
     return restrict_cellmap(m, T.complex, h, host)
 
 
+def _snap(g: ReebGraph, node_slot: dict[int, Slot], cell: Cell, slot: Slot) -> Cell:
+    """normalize_cell on slots: an edge cell becomes its end node n when
+    slot is node_slot[n], the level slot of n's value."""
+    if cell[0] == "e":
+        for n in g.edges[cell[1]]:
+            if node_slot[n] == slot:
+                return ("n", n)
+    return cell
+
+
+def _require_affine_between_levels(xi: MonotonePL, m: CellMap) -> None:
+    """Raise unless xi's breakpoints span m's levels and xi is affine on
+    every open gap between consecutive levels."""
+    lo, hi = m.levels[0], m.levels[-1]
+    bp = xi.breakpoints
+    if not bp[0][0] <= lo or not hi <= bp[-1][0]:
+        raise ValueError(
+            f"reparametrization breakpoints [{bp[0][0]}, {bp[-1][0]}] "
+            f"do not span the levels [{lo}, {hi}]"
+        )
+    for (u0, v0), (u1, v1), (u2, v2) in zip(bp, bp[1:], bp[2:]):
+        if (
+            m.level_index(u1) is None
+            and lo < u1 < hi
+            and (v1 - v0) * (u2 - u1) != (v2 - v1) * (u1 - u0)
+        ):
+            raise ValueError(
+                f"reparametrization bends at {u1}, strictly between two levels"
+            )
+
+
 def induced_map(
     p_f: CellMap,
     p_g: CellMap,
@@ -436,10 +470,19 @@ def induced_map(
 
     p_f: X -> R_f and p_g: X -> R_g must share the source complex, with the
     second value function a monotone reparametrization of the first:
-    p_g.h == xi o p_f.h on vertices (checked exactly).  Each fiber of p_f is
-    then contained in a single fiber of p_g, so the point map descends; the
-    result is returned as a quotient-map representation whose source is the
-    complexification of R_f.
+    p_g.h == xi o p_f.h on vertices, and xi affine on every open gap between
+    consecutive levels of p_f, with breakpoints spanning those levels (all
+    checked exactly).  Then p_g.h == xi o p_f.h everywhere, by linearity on
+    each slab of a simplex.  Each fiber of p_f is then contained in a single
+    fiber of p_g, so the point map descends; the result is returned as a
+    quotient-map representation whose source is the complexification of R_f.
+
+    The value arithmetic happens once per output slot: the middle value t of
+    the slot, the ends of xi's preimage of t and t's slot of p_g.  Positions
+    on R_f are slots of one merged axis of p_f's levels and the graph's
+    values, so a simplex of the graph clips the preimage to its own range,
+    and any position of the clipped range (all of it maps to one point of
+    R_g) names a fiber of p_f by integer lookups.
     """
     if p_f.source.simplices != p_g.source.simplices:
         raise ValueError("the two quotient maps must share their source complex")
@@ -449,34 +492,55 @@ def induced_map(
                 f"reparametrization mismatch at vertex {v}: "
                 f"xi({p_f.h[v]}) = {xi(p_f.h[v])} != {p_g.h[v]}"
             )
+    _require_affine_between_levels(xi, p_f)
     if gcf is None:
         gcf = complexify(p_f.target)
     h = {w: xi(gcf.values[w]) for w in gcf.complex.vertices}
     out = CellMap(gcf.complex, h, p_g.target, {}, gcf)
-    # (slot, cell) -> first maximal simplex over that cell in that slot
+    # (slot, cell) of p_f -> first maximal simplex over that cell in that
+    # slot, and each maximal simplex's slots of p_g
     first_over: dict[tuple[Slot, Cell], Simplex] = {}
+    g_slots: dict[Simplex, range] = {}
     for sig in p_f.source.maximal_simplices():
+        g_slots[sig] = p_g.slots_of(sig)
         for slot in p_f.slots_of(sig):
             first_over.setdefault((slot, p_f.assignment[sig][slot]), sig)
 
-    def fiber_simplex(u: Scalar, cell: Cell) -> Simplex:
-        sig = first_over.get((p_f.slot_of(u), cell))
-        if sig is None:
-            raise ValueError(f"no source simplex maps onto {cell} at value {u}")
-        return sig
+    axis = sorted(set(p_f.levels).union(gcf.values.values()))
+    f_slot = refine_slots(p_f, axis)
+    at = {w: level_slot(i) for w, i in level_ranks(gcf.values, axis)[1].items()}
+    f_node = {n: at[w] for n, w in gcf.node_vertex.items()}
+    g_node = {
+        n: level_slot(p_g.level_index(x)) for n, x in p_g.target.node_values.items()
+    }
+    # per output slot: its middle value, the axis slots of the ends of its
+    # preimage, and its slot of p_g; the graph is connected, so every slot
+    # between its lowest and highest vertex is met
+    rows: dict[Slot, tuple[Scalar, Slot, Slot, Slot]] = {}
+    for slot in out.slots_of(tuple(h)):
+        lo, hi = out.slot_range(slot)
+        t = (lo + hi) / 2
+        ua, ub = xi.preimage(t)
+        rows[slot] = (t, slot_in(axis, ua), slot_in(axis, ub), p_g.slot_of(t))
 
     assignment: dict[Simplex, dict[Slot, Cell]] = {}
     for s in gcf.complex.simplices:
-        fa, fb = min(gcf.values[w] for w in s), max(gcf.values[w] for w in s)
+        fa = min(at[w] for w in s)
+        fb = max(at[w] for w in s)
+        host = gcf.host[s]
         per: dict[Slot, Cell] = {}
         for slot in out.slots_of(s):
-            lo, hi = out.slot_range(slot)
-            t = (lo + hi) / 2
-            ua, ub = xi.preimage(t)
-            u = (max(ua, fa) + min(ub, fb)) / 2
-            cprime = normalize_cell(p_f.target, gcf.host[s], u)
-            sig = fiber_simplex(u, cprime)
-            per[slot] = normalize_cell(p_g.target, p_g.cell_at(sig, t), t)
+            t, ua, ub, gslot = rows[slot]
+            u = (max(ua, fa) + min(ub, fb)) // 2
+            cell = _snap(p_f.target, f_node, host, u)
+            sig = first_over.get((f_slot[u], cell))
+            if sig is None:
+                raise ValueError(
+                    f"no source simplex maps onto {cell} in the preimage of {t}"
+                )
+            if gslot not in g_slots[sig]:
+                raise ValueError(f"simplex {sig} does not meet value {t}")
+            per[slot] = _snap(p_g.target, g_node, p_g.assignment[sig][gslot], gslot)
         assignment[s] = per
     out.assignment = assignment
     return out

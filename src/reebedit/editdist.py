@@ -254,15 +254,9 @@ def induced_quotient_via_reparam(
 ) -> tuple[CellMap, Certificate]:
     """The quotient map R_f -> R_g induced by g = chi o f, certified.
 
-    Requires the commutation to hold exactly on vertices (hence everywhere,
-    by linearity); raises with the witness vertex otherwise.
+    induced_map checks the commutation and raises ValueError, with the
+    witness vertex, where it fails.
     """
-    for v in sorted(complex.vertices):
-        if chi(f.values[v]) != g.values[v]:
-            raise ValueError(
-                f"chi(f) != g at vertex {v}: "
-                f"chi({f.values[v]}) = {chi(f.values[v])} != {g.values[v]}"
-            )
     _, p_f = compute_reeb(complex, f)
     _, p_g = compute_reeb(complex, g)
     zeta = induced_map(p_f, p_g, chi)

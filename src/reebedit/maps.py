@@ -75,6 +75,28 @@ def _slot_name(slot: Slot) -> str:
     return f"{'gap' if slot % 2 else 'level'} {slot // 2}"
 
 
+def slot_in(levels: Sequence[Scalar], t: Scalar) -> Slot:
+    """The slot of value t among sorted levels."""
+    i = bisect_left(levels, t)
+    if i < len(levels) and levels[i] == t:
+        return 2 * i
+    return 2 * i - 1
+
+
+def refine_slots(m: "CellMap", axis: Sequence[Scalar]) -> list[Slot]:
+    """m's slot at every slot of a sorted axis that contains m's levels and
+    starts at the lowest of them, as a list indexed by the axis slot."""
+    out: list[Slot] = []
+    for t in axis:
+        i = m.level_index(t)
+        if i is not None:
+            gap = gap_slot(i)
+            out += (level_slot(i), gap)
+        else:
+            out += (gap, gap)
+    return out
+
+
 def rank_slots(vertex_rank: dict[int, int], s: Simplex) -> range:
     """Slots met by simplex s, given its vertices' level indices: every
     level from the lowest to the highest, and every gap between them."""
@@ -115,10 +137,7 @@ class CellMap:
         return self._rank.get(t)
 
     def slot_of(self, t: Scalar) -> Slot:
-        i = bisect_left(self.levels, t)
-        if i < len(self.levels) and self.levels[i] == t:
-            return 2 * i
-        return 2 * i - 1
+        return slot_in(self.levels, t)
 
     def slot_range(self, slot: Slot) -> tuple[Scalar, Scalar]:
         """Value interval of a slot: lo == hi exactly for a level, and the
@@ -631,10 +650,15 @@ class MonotonePL:
     pairs (u, value); constant extension outside the breakpoint range."""
 
     breakpoints: tuple[tuple[Scalar, Scalar], ...]
+    # breakpoint positions and values, split once
+    _us: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
+    _vs: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        us = [u for u, _ in self.breakpoints]
-        vs = [v for _, v in self.breakpoints]
+        us = tuple(u for u, _ in self.breakpoints)
+        vs = tuple(v for _, v in self.breakpoints)
+        object.__setattr__(self, "_us", us)
+        object.__setattr__(self, "_vs", vs)
         if not self.breakpoints:
             raise ValueError("need at least one breakpoint")
         if any(a >= b for a, b in zip(us, us[1:])):
@@ -663,7 +687,7 @@ class MonotonePL:
             return bp[0][1]
         if u >= bp[-1][0]:
             return bp[-1][1]
-        i = bisect_left([x for x, _ in bp], u)
+        i = bisect_left(self._us, u)
         if bp[i][0] == u:
             return bp[i][1]
         (u0, v0), (u1, v1) = bp[i - 1], bp[i]
@@ -679,5 +703,4 @@ class MonotonePL:
         lo_v, hi_v = self.image
         if not lo_v <= t <= hi_v:
             raise ValueError("value not attained")
-        us, vals = zip(*self.breakpoints)
-        return _preimage_of_value(us, vals, t)
+        return _preimage_of_value(self._us, self._vs, t)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 from unittest import mock
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from reebedit.category import (
     triangulate_limit,
     zigzag_limit,
 )
+from reebedit.editdist import collapse_map, homotopy_breakpoints, interpolate
 from reebedit.generators import cylinder, random_instance
 from reebedit.geometry import polytope_vertices
 from reebedit.graphs import graph_isomorphic, minimalize
@@ -144,8 +147,6 @@ def test_induced_map_collapse_to_point():
     cx, f, _ = random_instance(9, nverts=5)
     r, p = compute_reeb(cx, f)
     # constant reparametrization collapses everything to one point graph
-    from reebedit.editdist import collapse_map
-
     q = collapse_map(cx, F(0))
     lo, hi = r.value_range()
     xi = (
@@ -166,4 +167,75 @@ def test_induced_map_rejects_mismatched_reparam():
     lo, hi = r.value_range()
     xi = MonotonePL.identity(lo, hi)  # wrong: misses the +1 shift
     with pytest.raises(ValueError, match="mismatch"):
+        induced_map(p, pg, xi)
+
+
+def _reparam_triples(seed, nverts, kind):
+    """(p_f, p_g, xi) with p_g.h == xi o p_f.h: every stage map of a random
+    homotopy, or an affine or constant reparametrization of one function."""
+    if kind == "homotopy":
+        cx, f, g = random_instance(
+            seed, nverts=nverts, value_range=(-4, 4), second_function=True
+        )
+        sched = homotopy_breakpoints(cx, f, g)
+        quotients = [compute_reeb(cx, interpolate(f, g, t))[1] for t in sched.lambdas]
+        triples = []
+        for i, rho in enumerate(sched.rhos):
+            _, p = compute_reeb(cx, interpolate(f, g, rho))
+            triples.append((p, quotients[i], sched.chis[i]))
+            triples.append((p, quotients[i + 1], sched.xis[i]))
+        return triples
+    cx, f, _ = random_instance(seed, nverts=nverts)
+    _, p = compute_reeb(cx, f)
+    lo, hi = p.levels[0], p.levels[-1]
+    if kind == "affine":
+        g = PLFunction(cx, {v: 2 * f(v) + 1 for v in cx.vertices})
+        xi = MonotonePL.from_pairs([(lo, 2 * lo + 1), (hi, 2 * hi + 1)])
+        return [(p, compute_reeb(cx, g)[1], xi)]
+    return [(p, collapse_map(cx, F(0)), MonotonePL.from_pairs([(lo, F(0)), (hi, F(0))]))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    nverts=st.integers(3, 6),
+    kind=st.sampled_from(["homotopy", "affine", "constant"]),
+)
+def test_induced_map_commutes_with_quotients_property(seed, nverts, kind):
+    # m o p_f == p_g on the shared source, read pointwise at the middle of
+    # every slot of every maximal simplex from the three maps' assignments
+    for p_f, p_g, xi in _reparam_triples(seed, nverts, kind):
+        m = induced_map(p_f, p_g, xi)
+        for s in p_f.source.maximal_simplices():
+            for slot in p_f.slots_of(s):
+                lo, hi = p_f.slot_range(slot)
+                u = (lo + hi) / 2
+                assert m.image_point(p_f.point_image(s, u)) == p_g.point_image(
+                    s, xi(u)
+                ), (s, u)
+
+
+def test_induced_map_rejects_bend_between_levels():
+    # g == xi o f on vertices, but xi bends inside the first gap of f's
+    # levels, so g != xi o f on the simplices that cross the bend
+    for seed in range(6):
+        cx, f, _ = random_instance(seed, nverts=5)
+        _, p = compute_reeb(cx, f)
+        l0, l1, top = p.levels[0], p.levels[1], p.levels[-1]
+        bend = (l0 + l1) / 2
+        xi = MonotonePL.from_pairs(
+            [(l0, l0), (bend, bend), (l1, 2 * l1 - bend), (top, top + l1 - bend)]
+        )
+        _, pg = compute_reeb(cx, PLFunction(cx, {v: xi(f(v)) for v in cx.vertices}))
+        with pytest.raises(ValueError, match=re.escape(f"bends at {bend}")):
+            induced_map(p, pg, xi)
+
+
+def test_induced_map_rejects_reparam_not_spanning_levels():
+    cx, f, _ = random_instance(5, nverts=5)
+    _, p = compute_reeb(cx, f)
+    mid, hi = p.levels[len(p.levels) // 2], p.levels[-1]
+    xi = MonotonePL(((mid, mid), (hi, hi)))
+    _, pg = compute_reeb(cx, PLFunction(cx, {v: xi(f(v)) for v in cx.vertices}))
+    with pytest.raises(ValueError, match="do not span"):
         induced_map(p, pg, xi)
