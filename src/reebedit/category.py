@@ -34,7 +34,6 @@ from .maps import (
     _same_graph,
     level_ranks,
     level_slot,
-    refine_slots,
     restrict_cellmap,
     slot_in,
 )
@@ -429,16 +428,6 @@ def limit_projection(T: TriangulatedLimit, factor: int, m: CellMap) -> CellMap:
     return restrict_cellmap(m, T.complex, h, host)
 
 
-def _snap(g: ReebGraph, node_slot: dict[int, Slot], cell: Cell, slot: Slot) -> Cell:
-    """normalize_cell on slots: an edge cell becomes its end node n when
-    slot is node_slot[n], the level slot of n's value."""
-    if cell[0] == "e":
-        for n in g.edges[cell[1]]:
-            if node_slot[n] == slot:
-                return ("n", n)
-    return cell
-
-
 def _require_affine_between_levels(xi: MonotonePL, m: CellMap) -> None:
     """Raise unless xi's breakpoints span m's levels and xi is affine on
     every open gap between consecutive levels."""
@@ -507,12 +496,9 @@ def induced_map(
             first_over.setdefault((slot, p_f.assignment[sig][slot]), sig)
 
     axis = sorted(set(p_f.levels).union(gcf.values.values()))
-    f_slot = refine_slots(p_f, axis)
+    # the axis holds p_f's levels, so each axis slot meets one slot of p_f
+    f_slot = [run[0] for run in p_f.slots_over(axis)]
     at = {w: level_slot(i) for w, i in level_ranks(gcf.values, axis)[1].items()}
-    f_node = {n: at[w] for n, w in gcf.node_vertex.items()}
-    g_node = {
-        n: level_slot(p_g.level_index(x)) for n, x in p_g.target.node_values.items()
-    }
     # per output slot: its middle value, the axis slots of the ends of its
     # preimage, and its slot of p_g; the graph is connected, so every slot
     # between its lowest and highest vertex is met
@@ -532,7 +518,7 @@ def induced_map(
         for slot in out.slots_of(s):
             t, ua, ub, gslot = rows[slot]
             u = (max(ua, fa) + min(ub, fb)) // 2
-            cell = _snap(p_f.target, f_node, host, u)
+            cell = p_f.snap(host, f_slot[u])
             sig = first_over.get((f_slot[u], cell))
             if sig is None:
                 raise ValueError(
@@ -540,7 +526,7 @@ def induced_map(
                 )
             if gslot not in g_slots[sig]:
                 raise ValueError(f"simplex {sig} does not meet value {t}")
-            per[slot] = _snap(p_g.target, g_node, p_g.assignment[sig][gslot], gslot)
+            per[slot] = p_g.snap(p_g.assignment[sig][gslot], gslot)
         assignment[s] = per
     out.assignment = assignment
     return out

@@ -30,6 +30,17 @@ def _load_instance(path: str):
     return serialize.instance_from_dict(serialize.load_json(path))
 
 
+def _load_pair(path_f: str, path_g: str, command: str):
+    """(complex, f, g) from two instances on one complex, or None after
+    printing why not."""
+    cx_f, f = _load_instance(path_f)
+    cx_g, g = _load_instance(path_g)
+    if cx_f.simplices != cx_g.simplices:
+        print(f"{command} needs two functions on one complex", file=sys.stderr)
+        return None
+    return cx_f, f, g
+
+
 def _parse_point(g: ReebGraph, text: str) -> GraphPoint:
     if text.startswith("n"):
         node = int(text[1:])
@@ -141,26 +152,24 @@ def cmd_bound(args) -> int:
     if args.second is None:
         print("bound needs a second instance or --point", file=sys.stderr)
         return USAGE_ERROR
-    cx_f, f = _load_instance(args.graph)
-    cx_g, g = _load_instance(args.second)
-    if cx_f.simplices != cx_g.simplices:
-        print("coupling bound needs two functions on one complex", file=sys.stderr)
+    pair = _load_pair(args.graph, args.second, "coupling bound")
+    if pair is None:
         return USAGE_ERROR
-    _, pf = compute_reeb(cx_f, f)
-    _, pg = compute_reeb(cx_f, g)
+    cx, f, g = pair
+    _, pf = compute_reeb(cx, f)
+    _, pg = compute_reeb(cx, g)
     c = coupling(pf, pg)
     print(format_scalar(coupling_bound(c)))
     return 0
 
 
 def cmd_zigzag(args) -> int:
-    cx_f, f = _load_instance(args.instance_f)
-    cx_g, g = _load_instance(args.instance_g)
-    if cx_f.simplices != cx_g.simplices:
-        print("zigzag needs two functions on one complex", file=sys.stderr)
+    pair = _load_pair(args.instance_f, args.instance_g, "zigzag")
+    if pair is None:
         return USAGE_ERROR
-    _, pf = compute_reeb(cx_f, f)
-    _, pg = compute_reeb(cx_f, g)
+    cx, f, g = pair
+    _, pf = compute_reeb(cx, f)
+    _, pg = compute_reeb(cx, g)
     c = coupling(pf, pg)
     z = zigzag_from_coupling(c)
     if args.certify:
@@ -171,12 +180,10 @@ def cmd_zigzag(args) -> int:
 
 
 def cmd_homotopy(args) -> int:
-    cx_f, f = _load_instance(args.instance_f)
-    cx_g, g = _load_instance(args.instance_g)
-    if cx_f.simplices != cx_g.simplices:
-        print("homotopy needs two functions on one complex", file=sys.stderr)
+    pair = _load_pair(args.instance_f, args.instance_g, "homotopy")
+    if pair is None:
         return USAGE_ERROR
-    z, cert = build_homotopy_zigzag(cx_f, f, g)
+    z, cert = build_homotopy_zigzag(*pair)
     if args.certify:
         z.validate()
     print(f"cost = {format_scalar(cert.cost)}")

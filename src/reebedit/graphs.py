@@ -62,9 +62,6 @@ class ReebGraph:
         vals = list(self.node_values.values())
         return min(vals), max(vals)
 
-    def node_values_sorted(self) -> list[Fraction]:
-        return sorted(set(self.node_values.values()))
-
     def is_connected(self) -> bool:
         if not self.node_values:
             return True

@@ -10,11 +10,15 @@ finite data.
 
 A slot is an int: 2i is level i and 2i+1 the open gap (level i, level i+1).
 Only this module knows that encoding; everything else asks
-`CellMap.slot_range` for a slot's value interval.
+`CellMap.slot_range` for a slot's value interval.  Assignments are built on
+slots: an edge cell is snapped to its end node by comparing slots
+(`CellMap.snap`), and a map is re-read over other levels through the run of
+its slots each of their slots meets (`CellMap.slots_over`).  Values are
+compared only for point queries (`cell_at`).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -83,20 +87,6 @@ def slot_in(levels: Sequence[Scalar], t: Scalar) -> Slot:
     return 2 * i - 1
 
 
-def refine_slots(m: "CellMap", axis: Sequence[Scalar]) -> list[Slot]:
-    """m's slot at every slot of a sorted axis that contains m's levels and
-    starts at the lowest of them, as a list indexed by the axis slot."""
-    out: list[Slot] = []
-    for t in axis:
-        i = m.level_index(t)
-        if i is not None:
-            gap = gap_slot(i)
-            out += (level_slot(i), gap)
-        else:
-            out += (gap, gap)
-    return out
-
-
 def rank_slots(vertex_rank: dict[int, int], s: Simplex) -> range:
     """Slots met by simplex s, given its vertices' level indices: every
     level from the lowest to the highest, and every gap between them."""
@@ -130,6 +120,10 @@ class CellMap:
         lv = set(h.values()) | {target.value(n) for n in target.nodes}
         self.levels: list[Scalar] = sorted(lv)
         self._rank, self._vertex_rank = level_ranks(self.h, self.levels)
+        # each target node's level slot
+        self.node_slot: dict[int, Slot] = {
+            n: level_slot(self._rank[x]) for n, x in target.node_values.items()
+        }
 
     # -- level / slot bookkeeping -------------------------------------
 
@@ -152,6 +146,26 @@ class CellMap:
     def slots_of(self, s: Simplex) -> range:
         return rank_slots(self._vertex_rank, s)
 
+    def slots_over(self, levels: Sequence[Scalar]) -> list[range]:
+        """The run of this map's slots met by each slot of other sorted
+        levels within its value range, as a list indexed by their slot.
+        A level meets the one slot holding it; an open gap meets every slot
+        from the gap above its low end to the gap below its high end."""
+        at = [slot_in(self.levels, t) for t in levels]
+        out: list[range] = []
+        for a, b in zip(at, at[1:]):
+            out += (range(a, a + 1), range(a | 1, b + b % 2))
+        return out + [range(a, a + 1) for a in at[-1:]]
+
+    def snap(self, cell: Cell, slot: Slot) -> Cell:
+        """An edge cell becomes its end node n when slot is n's level
+        slot; any other cell is returned as it is."""
+        if cell[0] == "e":
+            for n in self.target.edges[cell[1]]:
+                if self.node_slot[n] == slot:
+                    return ("n", n)
+        return cell
+
     # -- cell lookup ---------------------------------------------------
 
     def cell_at(self, s: Simplex, t: Scalar) -> Cell:
@@ -160,22 +174,6 @@ class CellMap:
         if not lo <= t <= hi:
             raise ValueError(f"simplex {s} does not meet value {t}")
         return self.assignment[s][self.slot_of(t)]
-
-    def cell_on(self, s: Simplex, a: Scalar, b: Scalar) -> Cell:
-        """The single edge cell covering the image of s over open (a, b)."""
-        cells = set()
-        for slot in self.slots_of(s):
-            lo, hi = self.slot_range(slot)
-            if lo < b and hi > a:
-                cells.add(self.assignment[s][slot])
-        if len(cells) != 1:
-            raise ValueError(
-                f"image of {s} over ({a},{b}) is not a single cell: {cells}"
-            )
-        (c,) = cells
-        if c[0] != "e":
-            raise ValueError(f"image of {s} over ({a},{b}) is a node: {c}")
-        return c
 
     def point_of_cell(self, cell: Cell, t: Scalar) -> GraphPoint:
         if cell[0] == "n":
@@ -220,17 +218,6 @@ class CellMap:
         return self.source_graph
 
 
-def normalize_cell(target: ReebGraph, cell: Cell, t: Scalar) -> Cell:
-    """Snap an edge cell to a node when t sits at an endpoint value."""
-    if cell[0] == "e":
-        lo, hi = target.edges[cell[1]]
-        if target.value(lo) == t:
-            return ("n", lo)
-        if target.value(hi) == t:
-            return ("n", hi)
-    return cell
-
-
 def cellmap_from_hosting(
     source: SimplicialComplex,
     h: dict[int, Scalar],
@@ -245,13 +232,9 @@ def cellmap_from_hosting(
         cell = host[s]
         per: dict[Slot, Cell] = {}
         for slot in m.slots_of(s):
-            lo, hi = m.slot_range(slot)
-            if lo == hi:
-                per[slot] = normalize_cell(target, cell, lo)
-            elif cell[0] != "e":
+            if slot % 2 and cell[0] != "e":
                 raise ValueError(f"simplex {s} spans a gap inside node {cell}")
-            else:
-                per[slot] = cell
+            per[slot] = m.snap(cell, slot)
         assignment[s] = per
     m.assignment = assignment
     return m
@@ -273,7 +256,7 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
     check rescans the source."""
     bad: list[Violation] = []
     g = m.target
-    node_slot = {n: level_slot(m.level_index(g.value(n))) for n in g.nodes}
+    node_slot = m.node_slot
     span = [(node_slot[lo], node_slot[hi]) for lo, hi in g.edges]
 
     # structural well-formedness
@@ -303,7 +286,7 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
             if cell[0] != "e":
                 continue
             for near in (slot - 1, slot + 1):
-                if per[near] != normalize_cell(g, cell, m.slot_range(near)[0]):
+                if per[near] != m.snap(cell, near):
                     bad.append(
                         Violation(
                             "incidence",
@@ -497,20 +480,29 @@ def restrict_cellmap(
     """Re-express a CellMap on a subdivision of its source.
 
     host[piece] must be an old simplex containing the piece, and new_h must
-    restrict/interpolate the old h.  The piece's slots refine the host's,
-    so every lookup lands in a single cell.
+    restrict/interpolate the old h.  The new levels lie within the old
+    range, so each new slot meets a run of old slots (`CellMap.slots_over`),
+    and the host must carry a single cell over that run.
     """
     out = CellMap(sliced, new_h, m.target, {}, None)
+    over = m.slots_over(out.levels)
     assignment: dict[Simplex, dict[Slot, Cell]] = {}
     for piece in sliced.simplices:
         hs = host[piece]
+        cells = m.assignment.get(hs, {})
         per: dict[Slot, Cell] = {}
         for slot in out.slots_of(piece):
-            a, b = out.slot_range(slot)
-            if a == b:
-                per[slot] = normalize_cell(m.target, m.cell_at(hs, a), a)
-            else:
-                per[slot] = m.cell_on(hs, a, b)
+            run = over[slot]
+            found = {cells.get(k) for k in run}
+            if len(found) != 1 or None in found:
+                a, b = out.slot_range(slot)
+                what = "does not meet" if None in found else "has several cells over"
+                raise ValueError(f"simplex {hs} {what} [{a},{b}]: {found}")
+            (cell,) = found
+            if slot % 2 and cell[0] != "e":
+                a, b = out.slot_range(slot)
+                raise ValueError(f"simplex {hs} maps the gap ({a},{b}) to node {cell}")
+            per[slot] = m.snap(cell, run[0])
         assignment[piece] = per
     out.assignment = assignment
     return out
@@ -562,22 +554,15 @@ def _preimage_of_value(
     """First and last u (in list order) where a sampled PL function equals
     t.  phi must be weakly increasing along the list; the grid itself may
     run in either direction (a reversed decreasing sweep)."""
-    first = last = None
-    for i in range(len(grid)):
-        if phi[i] == t:
-            if first is None:
-                first = grid[i]
-            last = grid[i]
-        elif i + 1 < len(grid) and phi[i] < t < phi[i + 1]:
-            u = grid[i] + (t - phi[i]) * (grid[i + 1] - grid[i]) / (
-                phi[i + 1] - phi[i]
-            )
-            if first is None:
-                first = u
-            last = u
-    if first is None:
+    i = bisect_left(phi, t)
+    j = bisect_right(phi, t) - 1
+    if i == len(phi) or j < 0:
         raise ValueError(f"value {t} not attained")
-    return first, last
+    if i <= j:
+        return grid[i], grid[j]
+    # no sample equals t: it is crossed between samples j and i = j + 1
+    u = grid[j] + (t - phi[j]) * (grid[i] - grid[j]) / (phi[i] - phi[j])
+    return u, u
 
 
 def compose(p: CellMap, q: CellMap) -> CellMap:
@@ -625,13 +610,11 @@ def compose(p: CellMap, q: CellMap) -> CellMap:
             ub = _preimage_of_value(grid, phi, b)[0]
             u = (ua + ub) / 2
             cell = p.cell_at_graph_point(qq.point_of_cell(qq.cell_at(s, u), u))
-            if a == b:
-                cell = normalize_cell(p.target, cell, a)
-            elif cell[0] != "e":
+            if slot % 2 and cell[0] != "e":
                 raise ValueError(
                     f"composite of {s} over gap ({a},{b}) landed on node {cell}"
                 )
-            per[slot] = cell
+            per[slot] = out.snap(cell, slot)
         assignment[s] = per
     out.assignment = assignment
     return out
@@ -700,7 +683,4 @@ class MonotonePL:
     def preimage(self, t: Scalar) -> tuple[Scalar, Scalar]:
         """The closed interval {u : self(u) == t} within the breakpoint
         range (a single point when the value is attained transversally)."""
-        lo_v, hi_v = self.image
-        if not lo_v <= t <= hi_v:
-            raise ValueError("value not attained")
         return _preimage_of_value(self._us, self._vs, t)

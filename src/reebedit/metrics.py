@@ -57,9 +57,6 @@ def d_matrix(
         present: set[tuple] = set()
         members: dict[tuple, list[int]] = {}
 
-        def root_members(item) -> list[int]:
-            return members.setdefault(uf.find(item), [])
-
         def join(x, y, b: Scalar):
             rx, ry = uf.find(x), uf.find(y)
             if rx == ry:

@@ -242,6 +242,21 @@ def test_usage_errors(tmp_path, capsys):
         assert "malformed instance: empty simplex" in err
 
 
+def test_pair_commands_reject_two_complexes(tmp_path, capsys):
+    f_path, _ = _cyl_files(tmp_path, capsys)
+    other = tmp_path / "other.json"
+    cx, f, _ = random_instance(2, nverts=5)
+    other.write_text(json.dumps(instance_to_dict(cx, f)))
+    for argv, what in (
+        (("bound", f_path, str(other)), "coupling bound"),
+        (("zigzag", f_path, str(other)), "zigzag"),
+        (("homotopy", f_path, str(other)), "homotopy"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"{what} needs two functions on one complex\n"
+
+
 SCALARS = (
     st.none()
     | st.booleans()

@@ -2,15 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reebedit.category import limit_projection, pullback, triangulate_limit
+from reebedit.editdist import coupling
 from reebedit.generators import cylinder, random_instance
 from reebedit.graphs import GraphPoint, ReebGraph, complexify, graph_isomorphic, minimalize
 from reebedit.maps import (
     CellMap,
     MonotonePL,
+    _fold_values,
+    _preimage_of_value,
+    _sweep,
     cellmap_from_hosting,
     compose,
-    normalize_cell,
+    restrict_cellmap,
     subdivide_at_levels,
     verify_reeb_quotient,
 )
@@ -20,12 +27,14 @@ from reebedit.reeb import compute_reeb, graph_identity_map, reeb_of_graph
 F = Fraction
 
 
-def test_normalize_cell_snaps_endpoints():
+def test_snap_turns_edge_into_end_node_at_its_level():
     g = ReebGraph({0: F(0), 1: F(2)}, [(0, 1)])
-    assert normalize_cell(g, ("e", 0), F(0)) == ("n", 0)
-    assert normalize_cell(g, ("e", 0), F(2)) == ("n", 1)
-    assert normalize_cell(g, ("e", 0), F(1)) == ("e", 0)
-    assert normalize_cell(g, ("n", 0), F(0)) == ("n", 0)
+    cx = SimplicialComplex.from_simplices([(0, 1), (1, 2)])
+    m = CellMap(cx, {0: F(0), 1: F(1), 2: F(2)}, g, {})
+    assert m.snap(("e", 0), m.slot_of(F(0))) == ("n", 0)
+    assert m.snap(("e", 0), m.slot_of(F(2))) == ("n", 1)
+    assert m.snap(("e", 0), m.slot_of(F(1))) == ("e", 0)
+    assert m.snap(("n", 0), m.slot_of(F(0))) == ("n", 0)
 
 
 def test_slots_and_cells_of_quotient():
@@ -324,3 +333,162 @@ def test_monotone_pl_rejects_decreasing():
 def test_monotone_pl_identity():
     m = MonotonePL.identity(F(-1), F(1))
     assert m(F(1, 3)) == F(1, 3)
+
+
+# -- restriction to a subdivision -------------------------------------------
+
+
+def _assert_restriction_agrees(m, out, host):
+    """The restricted map sends every level and gap midpoint of a piece
+    where the parent map sends it on the piece's host."""
+    for piece in out.source.simplices:
+        for slot in out.slots_of(piece):
+            a, b = out.slot_range(slot)
+            t = (a + b) / 2
+            assert out.point_image(piece, t) == m.point_image(host[piece], t), (
+                piece,
+                slot,
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    nverts=st.integers(4, 5),
+    triangles=st.integers(1, 2),
+)
+def test_limit_projection_restriction_agrees_pointwise_property(
+    seed, nverts, triangles
+):
+    # the projections of compose_couplings: the limit of pullback(pg, pg),
+    # restricted through maps other than the pullback's own
+    cx, f, g = random_instance(
+        seed, nverts=nverts, triangles=triangles, second_function=True
+    )
+    rng = random.Random(seed)
+    h = PLFunction(cx, {v: F(rng.randint(-8, 8), rng.randint(1, 3)) for v in cx.vertices})
+    _, pf = compute_reeb(cx, f)
+    _, pg = compute_reeb(cx, g)
+    _, ph = compute_reeb(cx, h)
+    c1, c2 = coupling(pf, pg), coupling(pg, ph)
+    T = triangulate_limit(pullback(c1.p_g, c2.p_f))
+    for factor, m in ((0, c1.p_f), (1, c2.p_g)):
+        out = limit_projection(T, factor, m)
+        host = {s: T.supports[s][factor] for s in T.complex.simplices}
+        _assert_restriction_agrees(m, out, host)
+        assert verify_reeb_quotient(out).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), nverts=st.integers(5, 7))
+def test_fold_restriction_agrees_pointwise_property(seed, nverts):
+    # the slicing step of compose: cut q's source at the values where a
+    # second function on its Reeb graph folds
+    cx, f, _ = random_instance(seed, nverts=nverts)
+    r, q = compute_reeb(cx, f)
+    gc = complexify(r)
+    rng = random.Random(seed)
+    values = {w: F(rng.randint(-6, 6), rng.randint(1, 2)) for w in gc.complex.vertices}
+    _, p = compute_reeb(gc.complex, PLFunction(gc.complex, values))
+    p.source_graph = gc
+    folds = set()
+    for s in cx.maximal_simplices():
+        folds |= _fold_values(*_sweep(q, p, s))
+    sliced, nh, _, host = subdivide_at_levels(cx, q.h, folds)
+    out = restrict_cellmap(q, sliced, nh, host)
+    _assert_restriction_agrees(q, out, host)
+    assert verify_reeb_quotient(out).ok
+
+
+def _edge_map(cells, extra=()):
+    """A hand-built map of the edge (0, 1), h = 0 -> 2, onto two edges
+    between node 0 (value 0) and node 1 (value 2), with the given cells on
+    the edge's slots; the extra simplices sit at value 1 and add a level."""
+    cx = SimplicialComplex.from_simplices([(0, 1), *extra])
+    h = {v: F(1) for v in cx.vertices}
+    h.update({0: F(0), 1: F(2)})
+    m = CellMap(cx, h, ReebGraph({0: F(0), 1: F(2)}, [(0, 1), (0, 1)]), {})
+    m.assignment = {
+        (0,): {0: ("n", 0)},
+        (1,): {m.slot_of(F(2)): ("n", 1)},
+        (0, 1): dict(enumerate(cells)),
+    }
+    return m
+
+
+def test_restrict_cellmap_rejects_host_missing_the_piece():
+    m = _edge_map([("n", 0), ("e", 0), ("n", 1)])
+    sliced = SimplicialComplex.from_simplices([(0, 5), (5, 1)])
+    nh = {0: F(0), 5: F(1), 1: F(2)}
+    host = {s: (0, 1) for s in sliced.simplices}
+    host[(0,)], host[(1,)] = (0,), (1,)
+    assert restrict_cellmap(m, sliced, nh, host).assignment[(5,)] == {2: ("e", 0)}
+    host[(0, 5)] = (0,)  # the vertex 0 has the value 0 only
+    with pytest.raises(ValueError, match="does not meet"):
+        restrict_cellmap(m, sliced, nh, host)
+
+
+def test_restrict_cellmap_rejects_gap_on_a_node():
+    m = _edge_map([("n", 0), ("n", 0), ("n", 1)])
+    host = {s: s for s in m.source.simplices}
+    with pytest.raises(ValueError, match="maps the gap"):
+        restrict_cellmap(m, m.source, m.h, host)
+
+
+def test_restrict_cellmap_rejects_two_cells_over_one_gap():
+    # a level of m at value 1 that the piece's levels skip, with different
+    # edges on its two sides
+    m = _edge_map(
+        [("n", 0), ("e", 0), ("e", 0), ("e", 1), ("n", 1)], extra=[(1, 2)]
+    )
+    sliced = SimplicialComplex.from_simplices([(0, 1)])
+    host = {s: s for s in sliced.simplices}
+    with pytest.raises(ValueError, match="several cells"):
+        restrict_cellmap(m, sliced, {0: F(0), 1: F(2)}, host)
+
+
+# -- preimages of a sampled PL function ---------------------------------------
+
+
+def _preimage_by_scan(grid, phi, t):
+    """Reference: scan every sample for t or for a crossing of t."""
+    hits = []
+    for i in range(len(grid)):
+        if phi[i] == t:
+            hits.append(grid[i])
+        elif i + 1 < len(grid) and phi[i] < t < phi[i + 1]:
+            hits.append(grid[i] + (t - phi[i]) * (grid[i + 1] - grid[i]) / (phi[i + 1] - phi[i]))
+    if not hits:
+        raise ValueError(f"value {t} not attained")
+    return hits[0], hits[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    us=st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=8, unique=True),
+    data=st.data(),
+)
+def test_preimage_by_bisection_matches_scan_property(us, data):
+    grid = sorted(us)
+    # small integer values, so flat runs are common
+    steps = data.draw(st.lists(st.integers(0, 2), min_size=len(grid), max_size=len(grid)))
+    phi = [F(sum(steps[: i + 1]) - 3) for i in range(len(grid))]
+    t = data.draw(
+        st.one_of(
+            st.sampled_from([phi[0], phi[-1]]),
+            st.sampled_from(phi),
+            st.fractions(phi[0] - 1, phi[-1] + 1, max_denominator=2),
+        )
+    )
+    reversed_grid = data.draw(st.booleans())
+    if reversed_grid:
+        grid = grid[::-1]  # a decreasing sweep, read from its low end
+    try:
+        want = _preimage_by_scan(grid, phi, t)
+    except ValueError:
+        with pytest.raises(ValueError, match="not attained"):
+            _preimage_of_value(grid, phi, t)
+        return
+    assert _preimage_of_value(grid, phi, t) == want
+    if not reversed_grid:
+        assert MonotonePL(tuple(zip(grid, phi))).preimage(t) == want
