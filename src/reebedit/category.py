@@ -1,30 +1,21 @@
-"""Limits of zigzag diagrams as exact cell complexes.
+"""Pullbacks of quotient maps as exact cell complexes.
 
-A zigzag is a chain of spaces X_1 … X_k, each carrying two certified
-quotient maps (left into R_i, right into R_{i+1}).  Its limit consists of
-tuples (x_1, …, x_k) whose images agree at every interface.  We enumerate
-the limit's cells as tuples of "pieces" — closed slabs of maximal
-simplices lying over a single graph cell on each side — glued by one
-linear constraint per interface, and compute every cell's vertices
-exactly.  When every space carries a single map (every pullback does), the
-pieces are value slabs and a cell's vertices are products of simplex
-slices; other cells go through general vertex enumeration.  Pullbacks and
-products are the one- and two-factor cases.
+The pullback of p1: X_1 -> R and p2: X_2 -> R is the space of pairs
+(x_1, x_2) with p1(x_1) = p2(x_2).  We enumerate its cells as pairs of
+"pieces" -- closed slabs of maximal simplices lying over a single graph
+cell -- glued by one linear constraint, and compute every cell's vertices
+exactly: a cell is a product of two simplex slices at the ends of its value
+range, so its vertices have a closed form.  Pullbacks are the only limit
+construction: products are pullbacks over a point, and the limit of a
+longer zigzag is an iterated pullback (editdist.zigzag_cost).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
-from .geometry import (
-    LinearForm,
-    Vector,
-    polytope_vertices,
-    pulling_triangulation,
-    simplex_slice,
-)
+from .geometry import LinearForm, Vector, pulling_triangulation, simplex_slice
 from .graphs import GraphComplex, ReebGraph, complexify
 from .maps import (
     Cell,
@@ -44,31 +35,26 @@ ONE = Fraction(1)
 
 # a canonical point of a complex: ((vertex, coordinate), ...) over the support
 Location = tuple[tuple[int, Fraction], ...]
-# a limit vertex: one location per factor
-VertexKey = tuple[Location, ...]
+# a pullback vertex: one location per factor
+VertexKey = tuple[Location, Location]
 
 CELL_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
 class Piece:
-    """A closed slab of a maximal simplex lying over one graph cell on the
-    left and one on the right."""
+    """A closed slab of a maximal simplex lying over one graph cell."""
 
-    factor: int
     simplex: Simplex
-    lslot: Slot
-    rslot: Slot
-    lcell: Cell
-    rcell: Cell
-    lrange: tuple[Scalar, Scalar]
-    rrange: tuple[Scalar, Scalar]
+    slot: Slot
+    cell: Cell
+    span: tuple[Scalar, Scalar]
 
 
 @dataclass
 class LimitCell:
-    pieces: tuple[Piece, ...]
-    modes: tuple[tuple, ...]  # per interface: ("edge", e) or ("node", n)
+    pieces: tuple[Piece, Piece]
+    mode: tuple  # ("edge", e) or ("node", n): where the two images meet
     vkeys: list[VertexKey]
     coords: dict[VertexKey, tuple[Fraction, ...]]
     ineqs: list[LinearForm]
@@ -76,19 +62,10 @@ class LimitCell:
 
 @dataclass
 class LimitCellComplex:
-    factors: list[tuple[CellMap, CellMap]]
     cells: list[LimitCell]
     vertex_ids: dict[VertexKey, int]
-    # per limit vertex id: one {factor vertex: barycentric coordinate} per factor
-    locations: dict[int, tuple[dict[int, Fraction], ...]]
-    # per limit vertex id: pulled-back graph values (R_1, …, R_{k+1})
-    values: dict[int, tuple[Scalar, ...]]
-
-    def spread(self) -> Scalar:
-        """Sup over the limit of max_i f_i - min_j f_j (the zigzag cost)."""
-        if not self.values:
-            raise ValueError("empty limit")
-        return max(max(v) - min(v) for v in self.values.values())
+    # per vertex id: one {factor vertex: barycentric coordinate} per factor
+    locations: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]]
 
     def is_connected(self) -> bool:
         if not self.cells:
@@ -104,152 +81,63 @@ class LimitCellComplex:
         return len(uf.groups()) == 1
 
 
-def _slot_constraints(
-    m: CellMap, s: Simplex, slot: Slot, dim: int, offset: int, total: int
-) -> tuple[list[LinearForm], list[LinearForm]]:
-    """Constraints pinning the barycentric block [offset, offset+dim) of a
-    total-dimensional ambient to the given slot of the map."""
-    hvec = [ZERO] * total
-    for j, v in enumerate(s):
-        hvec[offset + j] = m.h[v]
-    lo, hi = m.slot_range(slot)
-    if lo == hi:
-        return [(tuple(hvec), lo)], []
-    return [], [
-        (tuple(-x for x in hvec), -lo),
-        (tuple(hvec), hi),
+def _pieces(m: CellMap) -> list[Piece]:
+    # a slab of one map is never empty: slots_of(s) lists only the slots
+    # that s's value range meets
+    return [
+        Piece(s, slot, m.assignment[s][slot], m.slot_range(slot))
+        for s in m.source.maximal_simplices()
+        for slot in m.slots_of(s)
     ]
 
 
-def _base_constraints(
-    s: Simplex, offset: int, total: int
-) -> tuple[list[LinearForm], list[LinearForm]]:
-    d = len(s)
-    one = [ZERO] * total
-    for j in range(d):
-        one[offset + j] = ONE
-    eqs = [(tuple(one), ONE)]
-    ineqs = []
-    for j in range(d):
-        e = [ZERO] * total
-        e[offset + j] = -ONE
-        ineqs.append((tuple(e), ZERO))
-    return eqs, ineqs
-
-
-def _factor_pieces(factor: int, ml: CellMap, mr: CellMap) -> list[Piece]:
-    same = ml is mr
-    out: list[Piece] = []
-    for s in ml.source.maximal_simplices():
-        d = len(s)
-        for ls in ml.slots_of(s):
-            # a slab of one map is never empty: slots_of(s) lists only the
-            # slots that s's value range meets
-            for rs in [ls] if same else mr.slots_of(s):
-                if not same:
-                    eqs, ineqs = _base_constraints(s, 0, d)
-                    for m, slot in ((ml, ls), (mr, rs)):
-                        e, i = _slot_constraints(m, s, slot, d, 0, d)
-                        eqs += e
-                        ineqs += i
-                    if not polytope_vertices(d, eqs, ineqs):
-                        continue
-                out.append(
-                    Piece(
-                        factor,
-                        s,
-                        ls,
-                        rs,
-                        ml.assignment[s][ls],
-                        mr.assignment[s][rs],
-                        ml.slot_range(ls),
-                        mr.slot_range(rs),
-                    )
-                )
+def _cell_ineqs(p1: CellMap, p2: CellMap, a: Piece, b: Piece) -> list[LinearForm]:
+    """Inequalities of the cell over pieces a and b, on the concatenated
+    barycentric coordinates: every coordinate is non-negative, and each
+    piece's value lies in its slot when the slot is a gap."""
+    total = len(a.simplex) + len(b.simplex)
+    out: list[LinearForm] = []
+    for m, p, offset in ((p1, a, 0), (p2, b, len(a.simplex))):
+        for j in range(len(p.simplex)):
+            e = [ZERO] * total
+            e[offset + j] = -ONE
+            out.append((tuple(e), ZERO))
+        lo, hi = p.span
+        if lo != hi:
+            hvec = [ZERO] * total
+            for j, v in enumerate(p.simplex):
+                hvec[offset + j] = m.h[v]
+            out += [(tuple(-x for x in hvec), -lo), (tuple(hvec), hi)]
     return out
 
 
-def _cell_constraints(
-    factors: list[tuple[CellMap, CellMap]], chain: list[Piece], modes: list[tuple]
-) -> tuple[list[LinearForm], list[LinearForm]]:
-    """(equations, inequalities) of the limit cell over chain and modes, on
-    the concatenated barycentric coordinates of its pieces."""
-    offsets = []
-    total = 0
-    for p in chain:
-        offsets.append(total)
-        total += len(p.simplex)
-    eqs: list[LinearForm] = []
-    ineqs: list[LinearForm] = []
-    for p, off in zip(chain, offsets):
-        d = len(p.simplex)
-        ml, mr = factors[p.factor]
-        e0, i0 = _base_constraints(p.simplex, off, total)
-        e1, i1 = _slot_constraints(ml, p.simplex, p.lslot, d, off, total)
-        eqs += e0 + e1
-        ineqs += i0 + i1
-        if mr is not ml:
-            e2, i2 = _slot_constraints(mr, p.simplex, p.rslot, d, off, total)
-            eqs += e2
-            ineqs += i2
-    for j, mode in enumerate(modes):
-        a, b = chain[j], chain[j + 1]
-        mr = factors[a.factor][1]
-        ml = factors[b.factor][0]
-        ra = [ZERO] * total
-        for t, v in enumerate(a.simplex):
-            ra[offsets[j] + t] = mr.h[v]
-        lb = [ZERO] * total
-        for t, v in enumerate(b.simplex):
-            lb[offsets[j + 1] + t] = ml.h[v]
-        if mode[0] == "edge":
-            eqs.append((tuple(x - y for x, y in zip(ra, lb)), ZERO))
-        else:
-            val = mr.target.value(mode[1])
-            eqs.append((tuple(ra), val))
-            eqs.append((tuple(lb), val))
-    return eqs, ineqs
-
-
 def _fiber_product_vertices(
-    factors: list[tuple[CellMap, CellMap]], chain: list[Piece], modes: list[tuple]
+    p1: CellMap, p2: CellMap, a: Piece, b: Piece, mode: tuple
 ) -> list[Vector]:
-    """Sorted vertices of a limit cell whose factors each carry one map.
+    """Sorted vertices of the cell over piece a of p1 and piece b of p2.
 
     Each piece is the slab {x in its simplex : h(x) in its slot range}.  An
-    edge mode glues two pieces by h_a(x_a) = h_b(x_b), so a run of pieces
-    glued by edge modes shares one value t in [lo, hi], the intersection of
-    their slot ranges; a node mode pins the runs on both of its sides to the
-    node value.  The cell is the product of its runs.  A point of a run at
-    lo < t < hi is a vertex only if some piece sits at a simplex vertex of
-    value t, and there is none: every vertex value is a level of its map, so
-    no slot range has one strictly inside.  A run's vertices are therefore
-    the products of its pieces' slice vertices at t = lo and at t = hi.
+    edge mode glues the two by h_1(x_a) = h_2(x_b) = t with t in [lo, hi],
+    the intersection of their slot ranges; a node mode also pins t to the
+    node value.  The cell is empty when lo > hi.  A point at lo < t < hi is
+    a vertex only if a piece sits at a simplex vertex of value t, and there
+    is none: every vertex value is a level of its map, so no slot range has
+    one strictly inside.  The vertices are therefore the products of the
+    two pieces' slice vertices at t = lo and at t = hi.
     """
-    runs: list[list[Piece]] = [[chain[0]]]
-    ranges: list[tuple[Scalar, Scalar]] = [chain[0].lrange]
-    for j, mode in enumerate(modes):
-        p = chain[j + 1]
-        if mode[0] == "node":
-            val = factors[p.factor][0].target.value(mode[1])
-            ranges[-1] = _meet(ranges[-1], (val, val))
-            runs.append([])
-            ranges.append((val, val))
-        runs[-1].append(p)
-        ranges[-1] = _meet(ranges[-1], p.lrange)
-    if any(lo > hi for lo, hi in ranges):
+    lo, hi = _meet(a.span, b.span)
+    if mode[0] == "node":
+        lo, hi = _meet((lo, hi), (p2.target.value(mode[1]),) * 2)
+    if lo > hi:
         return []
-    per_run: list[list[Vector]] = []
-    for run, (lo, hi) in zip(runs, ranges):
-        hs = [[factors[p.factor][0].h[v] for v in p.simplex] for p in run]
-        per_run.append(
-            [
-                sum(combo, ())
-                for t in {lo, hi}
-                for combo in product(*(simplex_slice(row, t) for row in hs))
-            ]
-        )
-    return sorted(sum(combo, ()) for combo in product(*per_run))
+    ha = [p1.h[v] for v in a.simplex]
+    hb = [p2.h[v] for v in b.simplex]
+    return sorted(
+        xa + xb
+        for t in {lo, hi}
+        for xa in simplex_slice(ha, t)
+        for xb in simplex_slice(hb, t)
+    )
 
 
 def _closure_nodes(g: ReebGraph, c: Cell) -> set[int]:
@@ -259,11 +147,11 @@ def _closure_nodes(g: ReebGraph, c: Cell) -> set[int]:
     return {lo, hi}
 
 
-def _modes(g: ReebGraph, cr: Cell, cl: Cell) -> list[tuple]:
-    """Ways the closed cells cr and cl can share an image point."""
-    if cr == cl and cr[0] == "e":
-        return [("edge", cr[1])]
-    return [("node", n) for n in sorted(_closure_nodes(g, cr) & _closure_nodes(g, cl))]
+def _modes(g: ReebGraph, ca: Cell, cb: Cell) -> list[tuple]:
+    """Ways the closed cells ca and cb can share an image point."""
+    if ca == cb and ca[0] == "e":
+        return [("edge", ca[1])]
+    return [("node", n) for n in sorted(_closure_nodes(g, ca) & _closure_nodes(g, cb))]
 
 
 def _meet(
@@ -273,103 +161,51 @@ def _meet(
     return max(a[0], b[0]), min(a[1], b[1])
 
 
-def zigzag_limit(factors: list[tuple[CellMap, CellMap]]) -> LimitCellComplex:
-    """Limit of the diagram R_1 <- X_1 -> R_2 <- X_2 -> … -> R_{k+1}.
-
-    factors[i] = (left map, right map) of X_{i+1}; the right target of each
-    factor must equal the left target of the next.
-    """
-    k = len(factors)
-    if k == 0:
-        raise ValueError("empty zigzag")
-    for i in range(k - 1):
-        if not _same_graph(factors[i][1].target, factors[i + 1][0].target):
-            raise ValueError(f"interface {i}: target graphs differ")
-    pieces = [_factor_pieces(i, ml, mr) for i, (ml, mr) in enumerate(factors)]
-    single = all(ml is mr for ml, mr in factors)
-
-    cells: list[LimitCell] = []
-    seen: set[frozenset] = set()
-
-    def finalize(chain: list[Piece], modes: list[tuple]):
-        eqs, ineqs = _cell_constraints(factors, chain, modes)
-        if single:
-            verts = _fiber_product_vertices(factors, chain, modes)
-        else:
-            total = sum(len(p.simplex) for p in chain)
-            verts = polytope_vertices(total, eqs, ineqs)
-        if not verts:
-            return
-        vkeys: list[VertexKey] = []
-        coords: dict[VertexKey, tuple[Fraction, ...]] = {}
-        for pt in verts:
-            key_parts: list[Location] = []
-            off = 0
-            for p in chain:
-                d = len(p.simplex)
-                block = zip(p.simplex, pt[off : off + d])
-                key_parts.append(tuple((v, x) for v, x in block if x != 0))
-                off += d
-            key = tuple(key_parts)
-            vkeys.append(key)
-            coords[key] = pt
-        sig = frozenset(vkeys)
-        if sig in seen:
-            return
-        seen.add(sig)
-        cells.append(LimitCell(tuple(chain), tuple(modes), vkeys, coords, ineqs))
-        if len(cells) > CELL_BUDGET:
-            raise RuntimeError("limit cell budget exceeded")
-
-    def extend(i: int, chain: list[Piece], modes: list[tuple]):
-        if i == k:
-            finalize(chain, modes)
-            return
-        g = factors[i][0].target
-        for p in pieces[i]:
-            if i == 0:
-                extend(1, [p], [])
-                continue
-            prev = chain[-1]
-            for mode in _modes(g, prev.rcell, p.lcell):
-                if mode[0] == "edge":
-                    lo, hi = _meet(prev.rrange, p.lrange)
-                    if lo > hi:
-                        continue
-                else:
-                    val = g.value(mode[1])
-                    if not (
-                        prev.rrange[0] <= val <= prev.rrange[1]
-                        and p.lrange[0] <= val <= p.lrange[1]
-                    ):
-                        continue
-                extend(i + 1, chain + [p], modes + [mode])
-
-    extend(0, [], [])
-
-    vertex_ids: dict[VertexKey, int] = {}
-    for key in sorted({key for c in cells for key in c.vkeys}):
-        vertex_ids[key] = len(vertex_ids)
-    locations: dict[int, tuple[dict[int, Fraction], ...]] = {}
-    values: dict[int, tuple[Scalar, ...]] = {}
-    for key, vid in vertex_ids.items():
-        locs = tuple({v: c for v, c in part} for part in key)
-        locations[vid] = locs
-        vals = [
-            sum((c * factors[0][0].h[v] for v, c in locs[0].items()), ZERO)
-        ]
-        for i in range(k):
-            mr = factors[i][1]
-            vals.append(sum((c * mr.h[v] for v, c in locs[i].items()), ZERO))
-        values[vid] = tuple(vals)
-    return LimitCellComplex(list(factors), cells, vertex_ids, locations, values)
-
-
 def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
-    """Fiber product of p1 and p2 over their common target graph."""
+    """Fiber product of p1 and p2 over their common target graph.
+
+    Cells come in the order of p1's pieces, then p2's pieces, then the
+    modes of each pair; a cell whose vertex set repeats an earlier one is
+    dropped.  Past CELL_BUDGET cells the enumeration raises RuntimeError.
+    """
     if not _same_graph(p1.target, p2.target):
         raise ValueError("pullback requires a common target")
-    return zigzag_limit([(p1, p1), (p2, p2)])
+    g = p2.target
+    pieces2 = _pieces(p2)
+    cells: list[LimitCell] = []
+    seen: set[frozenset] = set()
+    for a in _pieces(p1):
+        d = len(a.simplex)
+        for b in pieces2:
+            for mode in _modes(g, a.cell, b.cell):
+                verts = _fiber_product_vertices(p1, p2, a, b, mode)
+                if not verts:
+                    continue
+                vkeys: list[VertexKey] = []
+                coords: dict[VertexKey, tuple[Fraction, ...]] = {}
+                for pt in verts:
+                    key = (
+                        tuple((v, x) for v, x in zip(a.simplex, pt[:d]) if x != 0),
+                        tuple((v, x) for v, x in zip(b.simplex, pt[d:]) if x != 0),
+                    )
+                    vkeys.append(key)
+                    coords[key] = pt
+                sig = frozenset(vkeys)
+                if sig in seen:
+                    continue
+                seen.add(sig)
+                ineqs = _cell_ineqs(p1, p2, a, b)
+                cells.append(LimitCell((a, b), mode, vkeys, coords, ineqs))
+                if len(cells) > CELL_BUDGET:
+                    raise RuntimeError("limit cell budget exceeded")
+
+    vertex_ids = {
+        key: i for i, key in enumerate(sorted({k for c in cells for k in c.vkeys}))
+    }
+    locations = {
+        vid: (dict(key[0]), dict(key[1])) for key, vid in vertex_ids.items()
+    }
+    return LimitCellComplex(cells, vertex_ids, locations)
 
 
 # -- triangulation and projections ----------------------------------------
@@ -380,7 +216,7 @@ class TriangulatedLimit:
     limit: LimitCellComplex
     complex: SimplicialComplex
     # per simplex, per factor: the factor simplex spanned by its vertices
-    supports: dict[Simplex, tuple[Simplex, ...]]
+    supports: dict[Simplex, tuple[Simplex, Simplex]]
 
 
 def triangulate_limit(L: LimitCellComplex) -> TriangulatedLimit:
@@ -389,9 +225,8 @@ def triangulate_limit(L: LimitCellComplex) -> TriangulatedLimit:
     Keys are global and the pulling recursion is intrinsic to each face, so
     neighboring cells agree on shared faces.
     """
-    nfac = len(L.factors)
     simplices: set[Simplex] = set()
-    supports: dict[Simplex, tuple[Simplex, ...]] = {}
+    supports: dict[Simplex, tuple[Simplex, Simplex]] = {}
     for cell in L.cells:
         tris = pulling_triangulation(cell.coords, cell.ineqs)
         for tri in tris:
@@ -399,7 +234,7 @@ def triangulate_limit(L: LimitCellComplex) -> TriangulatedLimit:
             simplices.add(ids)
             if ids not in supports:
                 sup = []
-                for f in range(nfac):
+                for f in (0, 1):
                     vs: set[int] = set()
                     for vid in ids:
                         vs.update(L.locations[vid][f])
@@ -411,15 +246,17 @@ def triangulate_limit(L: LimitCellComplex) -> TriangulatedLimit:
         if s not in supports:
             supports[s] = tuple(
                 tuple(sorted({v for vid in s for v in L.locations[vid][f]}))
-                for f in range(nfac)
+                for f in (0, 1)
             )
     return TriangulatedLimit(L, complex, supports)
 
 
 def limit_projection(T: TriangulatedLimit, factor: int, m: CellMap) -> CellMap:
-    """The composite (limit -> X_factor -> m.target) as a certified-checkable
-    CellMap.  m may be the factor's own zigzag map or any other quotient map
-    defined on the same factor complex."""
+    """The composite (pullback -> X_factor -> m.target) as a
+    certified-checkable CellMap on the triangulated pullback.  m is any
+    quotient map on the factor's complex: the map pulled back there, or
+    another one, as when compose_couplings and zigzag_cost carry the far
+    side of a coupling or zigzag space across the pullback."""
     h = {
         vid: sum((c * m.h[v] for v, c in locs[factor].items()), ZERO)
         for vid, locs in T.limit.locations.items()

@@ -49,7 +49,10 @@ def _parse_point(g: ReebGraph, text: str) -> GraphPoint:
         return GraphPoint(node=node)
     if text.startswith("e") and "@" in text:
         e_str, val = text[1:].split("@", 1)
-        return point_on_edge(g, int(e_str), parse_scalar(val))
+        edge = int(e_str)
+        if not 0 <= edge < len(g.edges):
+            raise ValueError(f"no edge {edge}")
+        return point_on_edge(g, edge, parse_scalar(val))
     raise ValueError(f"point syntax: n<id> or e<edge>@<value>, got {text!r}")
 
 
@@ -69,13 +72,13 @@ def cmd_generate(args) -> int:
         cx, f, g = generators.random_instance(
             args.seed, args.nverts, second_function=args.second_output is not None
         )
+    if args.second_output and g is None:
+        print(f"generator {args.kind} has a single function", file=sys.stderr)
+        return USAGE_ERROR
     out = serialize.dump_json(serialize.instance_to_dict(cx, f), args.output)
     if not args.output:
         sys.stdout.write(out)
     if args.second_output:
-        if g is None:
-            print(f"generator {args.kind} has a single function", file=sys.stderr)
-            return USAGE_ERROR
         serialize.dump_json(serialize.instance_to_dict(cx, g), args.second_output)
     return 0
 

@@ -7,11 +7,11 @@ it: a coupling (one space mapping onto both graphs) or a zigzag diagram
 Reeb domains and is not enumerable, so no exact values are claimed except
 where a matching lower bound is available (point targets).
 
-A zigzag's own cost is exact: the spread of its limit, in closed form for
-one space and by enumerating the limit otherwise.  The straight-line
-homotopy zigzag needs neither: its cost is ||f - g||_infinity, certified
-by a witness vertex and per-stage gaps (the source paper's stability
-argument).
+A zigzag's own cost is exact: the spread of its limit, which is an
+iterated pullback, read at the vertices of its triangulation.  The
+straight-line homotopy zigzag does not need it: its cost is
+||f - g||_infinity, certified by a witness vertex and per-stage gaps (the
+source paper's stability argument).
 """
 from __future__ import annotations
 
@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .category import (
-    induced_map,
-    limit_projection,
-    pullback,
-    triangulate_limit,
-    zigzag_limit,
-)
+from .category import induced_map, limit_projection, pullback, triangulate_limit
 from .graphs import ReebGraph, complexify
 from .maps import (
     Cell,
@@ -176,17 +170,35 @@ def zigzag_cost(z: ZigzagDiagram) -> Scalar:
     """The spread of the zigzag: sup over the diagram limit of
     max_i f_i - min_j f_j, exactly.
 
-    One space has a closed form: both pulled-back functions are linear on
-    every simplex, so the sup of their difference is attained at a vertex.
-    Longer zigzags enumerate the limit's cells, whose count grows
-    multiplicatively with the number of spaces; past category.CELL_BUDGET
-    cells the enumeration raises RuntimeError.  build_homotopy_zigzag does
-    not come here: it knows its cost from the construction.
+    The limit is the iterated pullback ((X_1 x_{R_2} X_2) x_{R_3} X_3) ...
+    Each step pulls the running space's map into R_{i+1} back against the
+    next space's left map, carries every graph value column to the
+    triangulated pullback's vertices, and projects the next space's right
+    map onto it.  Every column is affine on each cell, so max_i - min_j is
+    convex there and peaks at a vertex.  One space is the zero-step case:
+    max |f_1 - f_2| over its vertices.  The cell count grows multiplicatively
+    with the number of spaces; past category.CELL_BUDGET cells in one
+    pullback it raises RuntimeError.  build_homotopy_zigzag does not come
+    here: it knows its cost from the construction.
     """
-    if len(z.maps) == 1:
-        ml, mr = z.maps[0]
-        return max(abs(ml.h[v] - mr.h[v]) for v in ml.source.vertices)
-    return zigzag_limit(z.maps).spread()
+    if not z.maps:
+        raise ValueError("empty zigzag")
+    left, m = z.maps[0]
+    columns = [left.h, m.h]
+    for nl, nr in z.maps[1:]:
+        T = triangulate_limit(pullback(m, nl))
+        columns = [
+            {
+                vid: sum((c * col[v] for v, c in locs[0].items()), ZERO)
+                for vid, locs in T.limit.locations.items()
+            }
+            for col in columns
+        ]
+        m = limit_projection(T, 1, nr)
+        columns.append(m.h)
+    return max(
+        max(col[v] for col in columns) - min(col[v] for col in columns) for v in m.h
+    )
 
 
 # -- straight-line homotopy construction -------------------------------------

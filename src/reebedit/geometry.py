@@ -1,12 +1,12 @@
 """Exact rational linear algebra and tiny-dimension polytope utilities.
 
 Everything here works over fractions.Fraction.  Polytopes show up as
-slabs of simplices and products of such slabs glued by value equations.
+pullback cells: products of two simplex slabs glued by a value equation.
 Their vertices have a closed form built from `simplex_slice`, the vertices
-of one level slice of a simplex.  `polytope_vertices` enumerates the
-vertices of a general H-polytope by solving every d-subset of tight
-inequalities, C(m, d) solves; it is kept for the polytopes with no closed
-form (limit cells of two-map zigzag factors) and as the tests' oracle.
+of one level slice of a simplex.  The general H-polytope vertex
+enumeration below solves every d-subset of tight inequalities, C(m, d)
+solves; the library does not call it, and it stays only as the tests'
+independent oracle for that closed form.
 """
 from __future__ import annotations
 

@@ -217,6 +217,8 @@ def sample_points(g: ReebGraph, density: int) -> list[GraphPoint]:
     """All nodes plus density evenly spaced interior points per edge, plus
     the preimages of every node value interior to an edge's span (needed
     for the tightness certificate)."""
+    if density < 0:
+        raise ValueError(f"density must be non-negative, got {density}")
     pts: list[GraphPoint] = [GraphPoint(node=n) for n in sorted(g.nodes)]
     node_vals = sorted(set(g.node_values.values()))
     for e, (lo, hi) in enumerate(g.edges):

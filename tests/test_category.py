@@ -13,9 +13,14 @@ from reebedit.category import (
     limit_projection,
     pullback,
     triangulate_limit,
-    zigzag_limit,
 )
-from reebedit.editdist import collapse_map, homotopy_breakpoints, interpolate
+from reebedit.editdist import (
+    ZigzagDiagram,
+    collapse_map,
+    homotopy_breakpoints,
+    interpolate,
+    zigzag_cost,
+)
 from reebedit.generators import cylinder, random_instance
 from reebedit.geometry import polytope_vertices
 from reebedit.graphs import graph_isomorphic, minimalize
@@ -41,51 +46,79 @@ def test_pullback_projections_certified_and_connected(seed):
 
 
 def _limit_contents(L):
-    cells = [(c.pieces, c.modes, c.vkeys, c.coords, c.ineqs) for c in L.cells]
-    return cells, L.vertex_ids, L.locations, L.values
+    cells = [(c.pieces, c.mode, c.vkeys, c.coords, c.ineqs) for c in L.cells]
+    return cells, L.vertex_ids, L.locations
 
 
-def _vertices_by_enumeration(factors, chain, modes):
-    eqs, ineqs = category._cell_constraints(factors, chain, modes)
-    return polytope_vertices(sum(len(p.simplex) for p in chain), eqs, ineqs)
+def _vertices_by_enumeration(p1, p2, a, b, mode):
+    # the cell's own equations, built here from its definition, and the
+    # library's inequalities, solved by tight-set enumeration
+    da, total = len(a.simplex), len(a.simplex) + len(b.simplex)
+
+    def row(p, offset, coeff=lambda v: 1):
+        r = [F(0)] * total
+        for j, v in enumerate(p.simplex):
+            r[offset + j] = F(coeff(v))
+        return r
+
+    eqs = []
+    for m, p, offset in ((p1, a, 0), (p2, b, da)):
+        eqs.append((tuple(row(p, offset)), F(1)))
+        lo, hi = p.span
+        if lo == hi:
+            eqs.append((tuple(row(p, offset, m.h.get)), lo))
+    ha, hb = row(a, 0, p1.h.get), row(b, da, p2.h.get)
+    if mode[0] == "edge":
+        eqs.append((tuple(x - y for x, y in zip(ha, hb)), F(0)))
+    else:
+        val = p2.target.value(mode[1])
+        eqs += [(tuple(ha), val), (tuple(hb), val)]
+    return polytope_vertices(total, eqs, category._cell_ineqs(p1, p2, a, b))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     nverts=st.integers(3, 5),
-    kind=st.sampled_from(["identity", "self", "constant-middle", "chain3"]),
+    kind=st.sampled_from(["identity", "self", "constant-middle", "product"]),
 )
 def test_fiber_product_cells_match_polytope_vertices_property(seed, nverts, kind):
     # closed-form cell vertices against tight-set enumeration on each cell's
-    # own equations and inequalities, over every cell zigzag_limit tries
+    # own equations and inequalities, over every cell pullback tries, kept
+    # or dropped as a repeat
     cx, f, _ = random_instance(seed, nverts=nverts, triangles=2)
     if kind == "constant-middle":
         tri = max(cx.simplices, key=len)
         f = PLFunction(cx, {v: f(tri[0]) if v in tri else f(v) for v in cx.vertices})
     r, p = compute_reeb(cx, f)
-    ident = graph_identity_map(r)
-    factors = {
-        "identity": [(p, p), (ident, ident)],
-        "self": [(p, p), (p, p)],
-        "constant-middle": [(p, p), (p, p)],
-        "chain3": [(ident, ident), (p, p), (ident, ident)],
+    p1, p2 = {
+        "identity": (p, graph_identity_map(r)),
+        "self": (p, p),
+        "constant-middle": (p, p),
+        "product": (collapse_map(cx), collapse_map(cx)),
     }[kind]
-    L = zigzag_limit(factors)
+    L = pullback(p1, p2)
     assert L.cells
-    with mock.patch.object(
-        category, "_fiber_product_vertices", _vertices_by_enumeration
-    ):
-        oracle = zigzag_limit(factors)
+    closed_form = category._fiber_product_vertices
+    tried = []
+
+    def checked(*args):
+        want = _vertices_by_enumeration(*args)
+        assert closed_form(*args) == want, args[2:]
+        tried.append(args[2:])
+        return want
+
+    with mock.patch.object(category, "_fiber_product_vertices", checked):
+        oracle = pullback(p1, p2)
+    assert len(tried) >= len(L.cells)
     assert _limit_contents(L) == _limit_contents(oracle)
 
 
 def test_pullback_with_itself_spread_zero():
     cx, f, _ = random_instance(2, nverts=5)
-    _, p = compute_reeb(cx, f)
-    L = pullback(p, p)
-    # both pulled-back functions agree on the diagonal-free fiber product
-    assert L.spread() == F(0)
+    r, p = compute_reeb(cx, f)
+    # both pulled-back functions agree on the fiber product of p with itself
+    assert zigzag_cost(ZigzagDiagram([r, r, r], [(p, p), (p, p)])) == F(0)
 
 
 def test_pullback_requires_common_target():
@@ -96,27 +129,22 @@ def test_pullback_requires_common_target():
         pullback(pf, pg)
 
 
-def test_zigzag_limit_spread_of_coupling():
+def test_zigzag_cost_of_cylinder_coupling():
     cx, f, g = cylinder(8)
-    _, pf = compute_reeb(cx, f)
-    _, pg = compute_reeb(cx, g)
-    L = zigzag_limit([(pf, pg)])
+    rf, pf = compute_reeb(cx, f)
+    rg, pg = compute_reeb(cx, g)
     # for a one-space zigzag the limit is the space itself, so the spread is
     # the sup-norm of f - g, which is 1 on this cylinder
-    assert L.spread() == F(1)
-    assert L.is_connected()
+    assert zigzag_cost(ZigzagDiagram([rf, rg], [(pf, pg)])) == F(1)
 
 
-def test_zigzag_limit_telescoping_values():
-    # two stages sharing a middle graph: limit values pull back consistently
+def test_zigzag_cost_of_value_preserving_chain():
+    # two stages sharing a middle graph; every stage preserves values, so
+    # the spread collapses
     cx, f, _ = random_instance(4, nverts=5)
     r, p = compute_reeb(cx, f)
     ident = graph_identity_map(r)
-    L = zigzag_limit([(p, p), (ident, ident)])
-    for vals in L.values.values():
-        assert len(vals) == 3
-        # every stage here preserves values, so the spread collapses
-        assert max(vals) - min(vals) == F(0)
+    assert zigzag_cost(ZigzagDiagram([r, r, r], [(p, p), (ident, ident)])) == F(0)
 
 
 def test_induced_map_identity_reparam():

@@ -97,6 +97,17 @@ def test_metric_between_points(tmp_path, capsys):
     assert out.strip() == "2"
 
 
+def test_metric_rejects_edge_ids_out_of_range(tmp_path, capsys):
+    f_path, _ = _cyl_files(tmp_path, capsys)
+    r_path = tmp_path / "rf.json"
+    _run(capsys, "reeb", f_path, "-o", str(r_path))
+    nedges = len(json.loads(r_path.read_text())["edges"])
+    for edge in (nedges, 99, -1):
+        code, out, err = _run(capsys, "metric", str(r_path), f"e{edge}@5/6", "n0")
+        assert (code, out) == (2, "")
+        assert err == f"error: no edge {edge}\n"
+
+
 def eval_frac(s: str):
     from fractions import Fraction
 
@@ -154,6 +165,23 @@ def test_distortion_command(tmp_path, capsys):
     assert "tight = True" in out
     header = csv_path.read_text().splitlines()[0]
     assert header == "p1,q1,p2,q2,d_f,d_g,defect"
+
+
+def test_malformed_arguments_exit_2_before_writing(tmp_path, capsys):
+    csv_path = tmp_path / "table.csv"
+    code, out, err = _run(
+        capsys, "distortion", "-n", "3", "--density", "-2", "--csv", str(csv_path)
+    )
+    assert (code, out) == (2, "")
+    assert "density must be non-negative" in err
+    assert not csv_path.exists()
+    f_path, g_path = tmp_path / "a.json", tmp_path / "b.json"
+    code, out, err = _run(
+        capsys, "generate", "circle", "-o", str(f_path), "--second-output", str(g_path)
+    )
+    assert (code, out) == (2, "")
+    assert "single function" in err
+    assert not f_path.exists() and not g_path.exists()
 
 
 def test_homotopy_command(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reebedit.category import zigzag_limit
+from reebedit import category
 from reebedit.editdist import (
     BoundRegistry,
     ZigzagDiagram,
@@ -146,28 +146,75 @@ def test_zigzag_diagram_validation_catches_mismatch():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_zigzag_cost_matches_limit_spread(seed):
-    # the certified cost must agree with the explicit limit construction
+    # the certified cost must agree with the spread of the explicit limit
     cx, f, g = random_instance(seed, nverts=3, second_function=True)
     z, cert = build_homotopy_zigzag(cx, f, g)
-    if len(z.maps) > 3:
-        pytest.skip("limit enumeration too large for the oracle")
-    L = zigzag_limit(z.maps)
-    assert cert.cost == L.spread()
+    assert cert.cost == zigzag_cost(z)
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**20), nverts=st.integers(3, 4))
 def test_homotopy_cost_matches_limit_spread_property(seed, nverts):
-    # the certified closed form against the explicit limit and the norm;
-    # the limit oracle grows multiplicatively with the number of spaces
-    # (a 3-space limit over 4 vertices takes 5-16 s), so larger zigzags
-    # are skipped
-    max_spaces = 3 if nverts == 3 else 2
+    # the certified closed form against the explicit limit and the norm
     cx, f, g = random_instance(seed, nverts=nverts, second_function=True)
     z, cert = build_homotopy_zigzag(cx, f, g)
-    assume(len(z.maps) <= max_spaces)
+    assume(len(z.maps) <= 5)
     norm = max(abs(f(v) - g(v)) for v in cx.vertices)
-    assert cert.cost == zigzag_limit(z.maps).spread() == norm
+    assert cert.cost == zigzag_cost(z) == norm
+
+
+def _triple(seed):
+    """(pf, pg, ph) of three functions on one complex, g constant on no
+    triangle (compose_couplings cannot certify such a pullback)."""
+    cx, f, g = random_instance(seed, nverts=4, triangles=1, second_function=True)
+    assume(not any(len(s) == 3 and len({g(v) for v in s}) == 1 for s in cx.simplices))
+    rng = random.Random(seed)
+    h = PLFunction(
+        cx, {v: F(rng.randint(-8, 8), rng.randint(1, 3)) for v in cx.vertices}
+    )
+    return tuple(compute_reeb(cx, fn)[1] for fn in (f, g, h))
+
+
+def _chain(*maps):
+    return ZigzagDiagram([m[0].target for m in maps] + [maps[-1][1].target], list(maps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_two_space_cost_is_max_of_coupling_bounds_property(seed):
+    # sup over the limit of max(f, g, h) - min(f, g, h) is the largest of
+    # |f - g| and |g - h| (each attained on a factor, onto which the limit
+    # projects) and |f - h|, which is the composed coupling's bound
+    pf, pg, ph = _triple(seed)
+    c1, c2 = coupling(pf, pg), coupling(pg, ph)
+    want = max(coupling_bound(c1), coupling_bound(c2),
+               coupling_bound(compose_couplings(c1, c2)))
+    assert zigzag_cost(_chain((pf, pg), (pg, ph))) == want
+
+
+def test_zigzag_cost_rejects_empty_and_mismatched_zigzags():
+    with pytest.raises(ValueError, match="empty zigzag"):
+        zigzag_cost(ZigzagDiagram([], []))
+    cx, f, g = cylinder(4)
+    _, pf = compute_reeb(cx, f)
+    _, pg = compute_reeb(cx, g)
+    # the first space ends in R_g, the second starts in R_f
+    with pytest.raises(ValueError, match="common target"):
+        zigzag_cost(_chain((pf, pg), (pf, pg)))
+
+
+def test_zigzag_cost_respects_cell_budget(monkeypatch):
+    cx, f, g = random_instance(1, nverts=4, triangles=1, second_function=True)
+    _, pf = compute_reeb(cx, f)
+    _, pg = compute_reeb(cx, g)
+    z = _chain((pf, pg), (pg, pf))
+    ncells = len(category.pullback(pg, pg).cells)
+    monkeypatch.setattr(category, "CELL_BUDGET", ncells)
+    cost = zigzag_cost(z)
+    assert cost >= coupling_bound(coupling(pf, pg))
+    monkeypatch.setattr(category, "CELL_BUDGET", ncells - 1)
+    with pytest.raises(RuntimeError, match="cell budget"):
+        zigzag_cost(z)
 
 
 def test_interpolate_endpoints():
