@@ -5,9 +5,11 @@ The pullback of p1: X_1 -> R and p2: X_2 -> R is the space of pairs
 "pieces" -- closed slabs of maximal simplices lying over a single graph
 cell -- glued by one linear constraint, and compute every cell's vertices
 exactly: a cell is a product of two simplex slices at the ends of its value
-range, so its vertices have a closed form.  Pullbacks are the only limit
-construction: products are pullbacks over a point, and the limit of a
-longer zigzag is an iterated pullback (editdist.zigzag_cost).
+range, so its vertices have a closed form, and so does the set of vertices
+where each of its inequalities is tight.  Cells are triangulated from those
+incidences alone (geometry.pulling_triangulation).  Pullbacks are the only
+limit construction: products are pullbacks over a point, and the limit of
+a longer zigzag is an iterated pullback (editdist.zigzag_cost).
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .geometry import LinearForm, Vector, pulling_triangulation, simplex_slice
+from .geometry import Vector, pulling_triangulation, simplex_slice
 from .graphs import GraphComplex, ReebGraph, complexify
 from .maps import (
     Cell,
@@ -28,10 +30,9 @@ from .maps import (
     restrict_cellmap,
     slot_in,
 )
-from .plcore import Scalar, Simplex, SimplicialComplex, UnionFind
+from .plcore import Scalar, Simplex, SimplicialComplex
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # a canonical point of a complex: ((vertex, coordinate), ...) over the support
 Location = tuple[tuple[int, Fraction], ...]
@@ -53,11 +54,16 @@ class Piece:
 
 @dataclass
 class LimitCell:
+    """The cell over pieces (a, b) of p1 and p2, on their concatenated
+    barycentric coordinates.  Its inequalities, in order: per piece, a then
+    b, x_j >= 0 for each simplex vertex, then lo <= h and h <= hi when the
+    piece's slot is a gap [lo, hi].  faces holds, per inequality, the
+    vertices where it is tight."""
+
     pieces: tuple[Piece, Piece]
     mode: tuple  # ("edge", e) or ("node", n): where the two images meet
     vkeys: list[VertexKey]
-    coords: dict[VertexKey, tuple[Fraction, ...]]
-    ineqs: list[LinearForm]
+    faces: list[frozenset[VertexKey]]
 
 
 @dataclass
@@ -66,19 +72,6 @@ class LimitCellComplex:
     vertex_ids: dict[VertexKey, int]
     # per vertex id: one {factor vertex: barycentric coordinate} per factor
     locations: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]]
-
-    def is_connected(self) -> bool:
-        if not self.cells:
-            return False
-        uf = UnionFind(range(len(self.cells)))
-        owner: dict[VertexKey, int] = {}
-        for i, c in enumerate(self.cells):
-            for k in c.vkeys:
-                if k in owner:
-                    uf.union(owner[k], i)
-                else:
-                    owner[k] = i
-        return len(uf.groups()) == 1
 
 
 def _pieces(m: CellMap) -> list[Piece]:
@@ -91,53 +84,50 @@ def _pieces(m: CellMap) -> list[Piece]:
     ]
 
 
-def _cell_ineqs(p1: CellMap, p2: CellMap, a: Piece, b: Piece) -> list[LinearForm]:
-    """Inequalities of the cell over pieces a and b, on the concatenated
-    barycentric coordinates: every coordinate is non-negative, and each
-    piece's value lies in its slot when the slot is a gap."""
-    total = len(a.simplex) + len(b.simplex)
-    out: list[LinearForm] = []
-    for m, p, offset in ((p1, a, 0), (p2, b, len(a.simplex))):
-        for j in range(len(p.simplex)):
-            e = [ZERO] * total
-            e[offset + j] = -ONE
-            out.append((tuple(e), ZERO))
-        lo, hi = p.span
-        if lo != hi:
-            hvec = [ZERO] * total
-            for j, v in enumerate(p.simplex):
-                hvec[offset + j] = m.h[v]
-            out += [(tuple(-x for x in hvec), -lo), (tuple(hvec), hi)]
-    return out
-
-
 def _fiber_product_vertices(
-    p1: CellMap, p2: CellMap, a: Piece, b: Piece, mode: tuple
-) -> list[Vector]:
-    """Sorted vertices of the cell over piece a of p1 and piece b of p2.
+    p1: CellMap, p2: CellMap, a: Piece, b: Piece, lo: Scalar, hi: Scalar
+) -> list[tuple[Vector, Scalar]]:
+    """Sorted vertices of the cell over piece a of p1 and piece b of p2,
+    each with its value t.
 
-    Each piece is the slab {x in its simplex : h(x) in its slot range}.  An
-    edge mode glues the two by h_1(x_a) = h_2(x_b) = t with t in [lo, hi],
-    the intersection of their slot ranges; a node mode also pins t to the
-    node value.  The cell is empty when lo > hi.  A point at lo < t < hi is
-    a vertex only if a piece sits at a simplex vertex of value t, and there
-    is none: every vertex value is a level of its map, so no slot range has
-    one strictly inside.  The vertices are therefore the products of the
-    two pieces' slice vertices at t = lo and at t = hi.
+    Each piece is the slab {x in its simplex : h(x) in its slot range}.  The
+    cell glues the two by h_1(x_a) = h_2(x_b) = t with t in [lo, hi], the
+    intersection of their slot ranges, pinned to the node value for a node
+    mode; lo <= hi.  A point at lo < t < hi is a vertex only if a piece sits
+    at a simplex vertex of value t, and there is none: every vertex value is
+    a level of its map, so no slot range has one strictly inside.  The
+    vertices are therefore the products of the two pieces' slice vertices at
+    t = lo and at t = hi.
     """
-    lo, hi = _meet(a.span, b.span)
-    if mode[0] == "node":
-        lo, hi = _meet((lo, hi), (p2.target.value(mode[1]),) * 2)
-    if lo > hi:
-        return []
     ha = [p1.h[v] for v in a.simplex]
     hb = [p2.h[v] for v in b.simplex]
     return sorted(
-        xa + xb
+        (xa + xb, t)
         for t in {lo, hi}
         for xa in simplex_slice(ha, t)
         for xb in simplex_slice(hb, t)
     )
+
+
+def _cell_faces(
+    a: Piece, b: Piece, vkeys: list[VertexKey], values: list[Scalar]
+) -> list[frozenset[VertexKey]]:
+    """Per inequality of the cell over pieces a and b (see LimitCell), the
+    vertices where it is tight: x_j >= 0 where the vertex key omits the
+    simplex vertex j, and a gap's bound where the vertex value t is that
+    end of the gap."""
+    faces: list[frozenset[VertexKey]] = []
+    for factor, p in enumerate((a, b)):
+        support = [{v for v, _ in k[factor]} for k in vkeys]
+        for v in p.simplex:
+            faces.append(frozenset(k for k, sup in zip(vkeys, support) if v not in sup))
+        lo, hi = p.span
+        if lo != hi:
+            faces += [
+                frozenset(k for k, t in zip(vkeys, values) if t == end)
+                for end in (lo, hi)
+            ]
+    return faces
 
 
 def _closure_nodes(g: ReebGraph, c: Cell) -> set[int]:
@@ -166,36 +156,43 @@ def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
 
     Cells come in the order of p1's pieces, then p2's pieces, then the
     modes of each pair; a cell whose vertex set repeats an earlier one is
-    dropped.  Past CELL_BUDGET cells the enumeration raises RuntimeError.
+    dropped.  The vertices depend only on the two simplices and the value
+    range [lo, hi], so a pair that repeats an earlier pair's is skipped
+    before its vertices are built.  Past CELL_BUDGET cells the enumeration
+    raises RuntimeError.
     """
     if not _same_graph(p1.target, p2.target):
         raise ValueError("pullback requires a common target")
     g = p2.target
     pieces2 = _pieces(p2)
     cells: list[LimitCell] = []
+    tried: set[tuple] = set()
     seen: set[frozenset] = set()
     for a in _pieces(p1):
         d = len(a.simplex)
         for b in pieces2:
             for mode in _modes(g, a.cell, b.cell):
-                verts = _fiber_product_vertices(p1, p2, a, b, mode)
-                if not verts:
+                lo, hi = _meet(a.span, b.span)
+                if mode[0] == "node":
+                    lo, hi = _meet((lo, hi), (g.value(mode[1]),) * 2)
+                key = (a.simplex, b.simplex, lo, hi)
+                if lo > hi or key in tried:
                     continue
-                vkeys: list[VertexKey] = []
-                coords: dict[VertexKey, tuple[Fraction, ...]] = {}
-                for pt in verts:
-                    key = (
+                tried.add(key)
+                verts = _fiber_product_vertices(p1, p2, a, b, lo, hi)
+                vkeys: list[VertexKey] = [
+                    (
                         tuple((v, x) for v, x in zip(a.simplex, pt[:d]) if x != 0),
                         tuple((v, x) for v, x in zip(b.simplex, pt[d:]) if x != 0),
                     )
-                    vkeys.append(key)
-                    coords[key] = pt
+                    for pt, _ in verts
+                ]
                 sig = frozenset(vkeys)
                 if sig in seen:
                     continue
                 seen.add(sig)
-                ineqs = _cell_ineqs(p1, p2, a, b)
-                cells.append(LimitCell((a, b), mode, vkeys, coords, ineqs))
+                faces = _cell_faces(a, b, vkeys, [t for _, t in verts])
+                cells.append(LimitCell((a, b), mode, vkeys, faces))
                 if len(cells) > CELL_BUDGET:
                     raise RuntimeError("limit cell budget exceeded")
 
@@ -228,7 +225,7 @@ def triangulate_limit(L: LimitCellComplex) -> TriangulatedLimit:
     simplices: set[Simplex] = set()
     supports: dict[Simplex, tuple[Simplex, Simplex]] = {}
     for cell in L.cells:
-        tris = pulling_triangulation(cell.coords, cell.ineqs)
+        tris = pulling_triangulation(cell.vkeys, cell.faces)
         for tri in tris:
             ids = tuple(sorted(L.vertex_ids[key] for key in tri))
             simplices.add(ids)

@@ -1,18 +1,21 @@
 """Exact rational linear algebra and tiny-dimension polytope utilities.
 
 Everything here works over fractions.Fraction.  Polytopes show up as
-pullback cells: products of two simplex slabs glued by a value equation.
-Their vertices have a closed form built from `simplex_slice`, the vertices
-of one level slice of a simplex.  The general H-polytope vertex
-enumeration below solves every d-subset of tight inequalities, C(m, d)
-solves; the library does not call it, and it stays only as the tests'
-independent oracle for that closed form.
+pullback cells (products of two simplex slabs glued by a value equation)
+and as the slabs of a simplex sliced at levels.  Their vertices have a
+closed form built from `simplex_slice`, the vertices of one level slice of
+a simplex, and the construction also says which inequalities are tight at
+each vertex, so `pulling_triangulation` works on those vertex-facet
+incidences alone.  The library calls only those two: `dot`, `rref`,
+`solve_affine` and the general H-polytope vertex enumeration
+`polytope_vertices` (every d-subset of tight inequalities, C(m, d) solves)
+stay only as the tests' independent oracle for the closed forms.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 # (coefficients, rhs): coeffs . x  (= or <=)  rhs
@@ -159,50 +162,46 @@ def simplex_slice(hs: Sequence[Fraction], t: Fraction) -> list[Vector]:
     return out
 
 
-def affine_dim(points: Sequence[Vector]) -> int:
-    if not points:
-        return -1
-    p0 = points[0]
-    rows = [[x - y for x, y in zip(p, p0)] for p in points[1:]]
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+def pulling_triangulation(keys: Iterable, faces: Sequence[frozenset]) -> list[tuple]:
+    """Triangulate a polytope given by its vertex keys and vertex-facet
+    incidences.
 
-
-def pulling_triangulation(
-    verts: dict, ineqs: Sequence[LinearForm]
-) -> list[tuple]:
-    """Triangulate a polytope given as {key: coords} plus its H-description.
+    faces holds one key set per inequality of the polytope's H-description,
+    in order: the vertices where that inequality is tight.  On any face with
+    vertex set V, the facets are the inclusion-maximal proper, nonempty sets
+    among the f & V, taken in order of first appearance, so the whole face
+    lattice is read off faces without coordinates.  A face is a simplex when
+    every facet misses exactly one vertex (a face that is not one has a
+    facet missing two or more), and a single vertex is the base case.
 
     Returns simplices as sorted key tuples.  The triangulation is the
-    pulling triangulation w.r.t. the key order, so it agrees on shared
-    faces across neighboring polytopes triangulated with the same order.
+    pulling triangulation w.r.t. the key order (De Loera, Rambau & Santos,
+    Triangulations, 2010): cone the first key over the facets that miss it.
+    The recursion is intrinsic to each face, so it agrees on shared faces
+    across neighboring polytopes triangulated with the same order.
     """
-    keys = sorted(verts)
-    pts = [verts[k] for k in keys]
-    d = affine_dim(pts)
-    if len(keys) == d + 1:
+    keys = sorted(keys)
+    n = len(keys)
+    if n == 1:
+        return [tuple(keys)]
+    vs = frozenset(keys)
+    tight: list[frozenset] = []
+    for f in faces:
+        sub = vs & f
+        if sub and len(sub) < n and sub not in tight:
+            tight.append(sub)
+    facets = [f for f in tight if not any(f < g for g in tight)]
+    if facets and all(len(f) == n - 1 for f in facets):
         return [tuple(keys)]
     v0 = keys[0]
-    out: list[tuple] = []
-    seen_facets: set[frozenset] = set()
-    for a, b in ineqs:
-        tight = [k for k in keys if dot(a, verts[k]) == b]
-        if v0 in tight or not tight:
-            continue
-        fs = frozenset(tight)
-        if fs in seen_facets:
-            continue
-        if affine_dim([verts[k] for k in tight]) != d - 1:
-            continue
-        seen_facets.add(fs)
-        sub = {k: verts[k] for k in tight}
-        for simplex in pulling_triangulation(sub, ineqs):
-            out.append(tuple(sorted(simplex + (v0,))))
+    out = [
+        tuple(sorted(simplex + (v0,)))
+        for f in facets
+        if v0 not in f
+        for simplex in pulling_triangulation(f, faces)
+    ]
     if not out:
         raise ValueError(
-            f"pulling triangulation found no facet of a {d}-polytope "
-            f"on {len(keys)} vertices"
+            f"pulling triangulation found no facet of a polytope on {n} vertices"
         )
     return out

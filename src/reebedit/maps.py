@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import LinearForm, pulling_triangulation, simplex_slice
+from .geometry import pulling_triangulation, simplex_slice
 from .graphs import GraphComplex, GraphPoint, ReebGraph, point_on_edge
 from .plcore import Scalar, Simplex, SimplicialComplex, support_components
 
@@ -415,37 +415,39 @@ def subdivide_at_levels(
             for face in _faces_of(s):
                 host.setdefault(face, face)
             continue
-        # barycentric coordinates on s; constraints x >= 0 and a <= h <= b
+        # barycentric coordinates on s; the slab's inequalities are x_j >= 0
+        # for each vertex j of s, then a <= h and h <= b
         d = len(s)
         bounds = [lo] + inner + [hi]
-        for k in range(len(bounds) - 1):
-            a, b = bounds[k], bounds[k + 1]
-            ineqs: list[LinearForm] = []
-            for j in range(d):
-                e = [Fraction(0)] * d
-                e[j] = Fraction(-1)
-                ineqs.append((tuple(e), Fraction(0)))
-            ineqs.append((tuple(-x for x in hs), -a))
-            ineqs.append((tuple(hs), b))
-            # the slab's vertices: both end slices and the vertices between
-            pts = simplex_slice(hs, a) + simplex_slice(hs, b)
+        for a, b in zip(bounds, bounds[1:]):
+            # the slab's vertices with their values: both end slices, then
+            # the vertices of s between them
+            pts = [(p, a) for p in simplex_slice(hs, a)]
+            pts += [(p, b) for p in simplex_slice(hs, b)]
             pts += [
-                tuple(Fraction(int(i == j)) for i in range(d))
+                (tuple(Fraction(int(i == j)) for i in range(d)), hs[j])
                 for j in range(d)
                 if a < hs[j] < b
             ]
-            slab_verts: dict[int, tuple] = {}
-            for p in sorted(pts):
+            slab: dict[int, tuple[tuple, Scalar]] = {}
+            for p, t in sorted(pts):
                 supp = [j for j in range(d) if p[j] != 0]
                 if len(supp) == 1:
                     vid = s[supp[0]]
                 else:
-                    hval = sum((p[j] * hs[j] for j in range(d)), Fraction(0))
                     # cut vertex: lies on an edge of s at a cut value
                     (j0, j1) = supp
-                    vid = vertex_on_edge(s[j0], s[j1], hval)
-                slab_verts[vid] = p
-            for simp in pulling_triangulation(slab_verts, ineqs):
+                    vid = vertex_on_edge(s[j0], s[j1], t)
+                slab[vid] = (p, t)
+            # per inequality, the vertices where it is tight
+            faces = [
+                frozenset(v for v, (p, _) in slab.items() if p[j] == 0)
+                for j in range(d)
+            ]
+            faces += [
+                frozenset(v for v, (_, t) in slab.items() if t == end) for end in (a, b)
+            ]
+            for simp in pulling_triangulation(slab, faces):
                 new_simplices.append(tuple(sorted(simp)))
     sliced = SimplicialComplex.from_simplices(new_simplices)
     # host: smallest old simplex whose vertex set's extension covers the piece

@@ -22,11 +22,13 @@ from reebedit.editdist import (
     zigzag_cost,
 )
 from reebedit.generators import cylinder, random_instance
-from reebedit.geometry import polytope_vertices
+from reebedit.geometry import polytope_vertices, pulling_triangulation
 from reebedit.graphs import graph_isomorphic, minimalize
 from reebedit.maps import MonotonePL, verify_reeb_quotient
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map
+
+from test_geometry import geometric_pulling_triangulation, tight_sets
 
 F = Fraction
 
@@ -36,9 +38,8 @@ def test_pullback_projections_certified_and_connected(seed):
     cx, f, _ = random_instance(seed, nverts=5)
     r, p = compute_reeb(cx, f)
     ident = graph_identity_map(r)
-    L = pullback(p, ident)
-    assert L.is_connected()
-    T = triangulate_limit(L)
+    T = triangulate_limit(pullback(p, ident))
+    assert T.complex.is_connected()
     pr0 = limit_projection(T, 0, p)
     pr1 = limit_projection(T, 1, ident)
     assert verify_reeb_quotient(pr0).ok
@@ -46,13 +47,53 @@ def test_pullback_projections_certified_and_connected(seed):
 
 
 def _limit_contents(L):
-    cells = [(c.pieces, c.mode, c.vkeys, c.coords, c.ineqs) for c in L.cells]
+    cells = [(c.pieces, c.mode, c.vkeys, c.faces) for c in L.cells]
     return cells, L.vertex_ids, L.locations
 
 
-def _vertices_by_enumeration(p1, p2, a, b, mode):
-    # the cell's own equations, built here from its definition, and the
-    # library's inequalities, solved by tight-set enumeration
+def _pullback_pair(seed, nverts, kind):
+    cx, f, _ = random_instance(seed, nverts=nverts, triangles=2)
+    if kind == "constant-middle":
+        tri = max(cx.simplices, key=len)
+        f = PLFunction(cx, {v: f(tri[0]) if v in tri else f(v) for v in cx.vertices})
+    r, p = compute_reeb(cx, f)
+    return {
+        "identity": (p, graph_identity_map(r)),
+        "self": (p, p),
+        "constant-middle": (p, p),
+        "product": (collapse_map(cx), collapse_map(cx)),
+    }[kind]
+
+
+pair_kinds = dict(
+    seed=st.integers(0, 10_000),
+    nverts=st.integers(3, 5),
+    kind=st.sampled_from(["identity", "self", "constant-middle", "product"]),
+)
+
+
+def _cell_ineqs(p1, p2, a, b):
+    """Inequalities of the cell over pieces a and b, on the concatenated
+    barycentric coordinates: every coordinate is non-negative, and each
+    piece's value lies in its slot when the slot is a gap."""
+    total = len(a.simplex) + len(b.simplex)
+    out = []
+    for m, p, offset in ((p1, a, 0), (p2, b, len(a.simplex))):
+        for j in range(len(p.simplex)):
+            e = [F(0)] * total
+            e[offset + j] = F(-1)
+            out.append((tuple(e), F(0)))
+        lo, hi = p.span
+        if lo != hi:
+            hvec = [F(0)] * total
+            for j, v in enumerate(p.simplex):
+                hvec[offset + j] = m.h[v]
+            out += [(tuple(-x for x in hvec), -lo), (tuple(hvec), hi)]
+    return out
+
+
+def _cell_eqs(p1, p2, a, b):
+    # each piece's coordinates sum to 1, and a level piece sits at its level
     da, total = len(a.simplex), len(a.simplex) + len(b.simplex)
 
     def row(p, offset, coeff=lambda v: 1):
@@ -67,51 +108,131 @@ def _vertices_by_enumeration(p1, p2, a, b, mode):
         lo, hi = p.span
         if lo == hi:
             eqs.append((tuple(row(p, offset, m.h.get)), lo))
-    ha, hb = row(a, 0, p1.h.get), row(b, da, p2.h.get)
+    return eqs, row(a, 0, p1.h.get), row(b, da, p2.h.get)
+
+
+def _vertices_in_range(p1, p2, a, b, lo, hi):
+    # the cell's equations and inequalities, built here from its definition
+    # with the value t = h_1 = h_2 in [lo, hi], solved by tight-set
+    # enumeration
+    eqs, ha, hb = _cell_eqs(p1, p2, a, b)
+    eqs.append((tuple(x - y for x, y in zip(ha, hb)), F(0)))
+    ineqs = _cell_ineqs(p1, p2, a, b)
+    ineqs += [(tuple(-x for x in ha), -lo), (tuple(ha), hi)]
+    return polytope_vertices(len(ha), eqs, ineqs)
+
+
+def _vertices_of_mode(p1, p2, a, b, mode):
+    # the same from the cell's mode: glued along an edge, or both at a node
+    eqs, ha, hb = _cell_eqs(p1, p2, a, b)
     if mode[0] == "edge":
         eqs.append((tuple(x - y for x, y in zip(ha, hb)), F(0)))
     else:
         val = p2.target.value(mode[1])
         eqs += [(tuple(ha), val), (tuple(hb), val)]
-    return polytope_vertices(total, eqs, category._cell_ineqs(p1, p2, a, b))
+    return polytope_vertices(len(ha), eqs, _cell_ineqs(p1, p2, a, b))
+
+
+def _vertex_key(a, b, pt):
+    d = len(a.simplex)
+    return (
+        tuple((v, x) for v, x in zip(a.simplex, pt[:d]) if x != 0),
+        tuple((v, x) for v, x in zip(b.simplex, pt[d:]) if x != 0),
+    )
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    nverts=st.integers(3, 5),
-    kind=st.sampled_from(["identity", "self", "constant-middle", "product"]),
-)
+@given(**pair_kinds)
 def test_fiber_product_cells_match_polytope_vertices_property(seed, nverts, kind):
-    # closed-form cell vertices against tight-set enumeration on each cell's
-    # own equations and inequalities, over every cell pullback tries, kept
-    # or dropped as a repeat
-    cx, f, _ = random_instance(seed, nverts=nverts, triangles=2)
-    if kind == "constant-middle":
-        tri = max(cx.simplices, key=len)
-        f = PLFunction(cx, {v: f(tri[0]) if v in tri else f(v) for v in cx.vertices})
-    r, p = compute_reeb(cx, f)
-    p1, p2 = {
-        "identity": (p, graph_identity_map(r)),
-        "self": (p, p),
-        "constant-middle": (p, p),
-        "product": (collapse_map(cx), collapse_map(cx)),
-    }[kind]
+    # closed-form cell vertices and their values against tight-set
+    # enumeration on each cell's own equations and inequalities, over every
+    # cell pullback computes, kept or dropped as a repeat
+    p1, p2 = _pullback_pair(seed, nverts, kind)
     L = pullback(p1, p2)
     assert L.cells
     closed_form = category._fiber_product_vertices
     tried = []
 
-    def checked(*args):
-        want = _vertices_by_enumeration(*args)
-        assert closed_form(*args) == want, args[2:]
-        tried.append(args[2:])
-        return want
+    def checked(p1, p2, a, b, lo, hi):
+        got = closed_form(p1, p2, a, b, lo, hi)
+        assert [pt for pt, _ in got] == _vertices_in_range(p1, p2, a, b, lo, hi)
+        for pt, t in got:
+            assert sum((x * p1.h[v] for v, x in zip(a.simplex, pt)), F(0)) == t
+        tried.append((a, b, lo, hi))
+        return got
 
     with mock.patch.object(category, "_fiber_product_vertices", checked):
         oracle = pullback(p1, p2)
     assert len(tried) >= len(L.cells)
     assert _limit_contents(L) == _limit_contents(oracle)
+
+
+def _cells_trying_every_triple(p1, p2):
+    # pullback's enumeration without its skip: every (piece, piece, mode)
+    # triple builds its vertices, and a cell whose vertex set repeats an
+    # earlier one is dropped
+    g = p2.target
+    cells, seen = [], set()
+    for a in category._pieces(p1):
+        for b in category._pieces(p2):
+            for mode in category._modes(g, a.cell, b.cell):
+                lo, hi = max(a.span[0], b.span[0]), min(a.span[1], b.span[1])
+                if mode[0] == "node":
+                    val = g.value(mode[1])
+                    if not lo <= val <= hi:
+                        continue
+                    lo = hi = val
+                if lo > hi:
+                    continue
+                verts = category._fiber_product_vertices(p1, p2, a, b, lo, hi)
+                vkeys = [_vertex_key(a, b, pt) for pt, _ in verts]
+                if frozenset(vkeys) not in seen:
+                    seen.add(frozenset(vkeys))
+                    cells.append(((a, b), mode, vkeys))
+    return cells
+
+
+@settings(max_examples=30, deadline=None)
+@given(**pair_kinds)
+def test_pullback_skip_keeps_the_cells_of_every_triple_property(seed, nverts, kind):
+    # skipping a triple whose simplices and value range repeat an earlier
+    # one's keeps the same cells, in the same order
+    p1, p2 = _pullback_pair(seed, nverts, kind)
+    cells = [(c.pieces, c.mode, c.vkeys) for c in pullback(p1, p2).cells]
+    assert cells == _cells_trying_every_triple(p1, p2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**pair_kinds)
+def test_cell_faces_and_triangulation_match_geometric_oracle_property(
+    seed, nverts, kind
+):
+    # per kept cell: its vertices against polytope_vertices on the cell's
+    # equations for its mode, its faces against exact dot products of its
+    # inequalities there, and the simplices triangulate_limit cuts it into,
+    # in order, against the geometric scan
+    p1, p2 = _pullback_pair(seed, nverts, kind)
+    L = pullback(p1, p2)
+    calls = []
+
+    def recorded(keys, faces):
+        out = pulling_triangulation(keys, faces)
+        calls.append(out)
+        return out
+
+    with mock.patch.object(category, "pulling_triangulation", recorded):
+        triangulate_limit(L)
+    assert len(calls) == len(L.cells)
+    for cell, simplices in zip(L.cells, calls):
+        a, b = cell.pieces
+        ineqs = _cell_ineqs(p1, p2, a, b)
+        verts = {
+            _vertex_key(a, b, pt): pt
+            for pt in _vertices_of_mode(p1, p2, a, b, cell.mode)
+        }
+        assert cell.vkeys == list(verts)
+        assert cell.faces == tight_sets(verts, ineqs)
+        assert simplices == geometric_pulling_triangulation(verts, ineqs)
 
 
 def test_pullback_with_itself_spread_zero():
