@@ -3,7 +3,6 @@ constructive upper bounds for the universal edit distance."""
 
 from .category import induced_map, limit_projection, pullback, triangulate_limit
 from .editdist import (
-    BoundRegistry,
     Coupling,
     HomotopyCertificate,
     ZigzagDiagram,
@@ -12,8 +11,6 @@ from .editdist import (
     coupling,
     coupling_bound,
     homotopy_breakpoints,
-    identity_coupling,
-    induced_quotient_via_reparam,
     interpolate,
     point_distance,
     point_graph,
@@ -45,24 +42,14 @@ from .metrics import (
     d_f,
     d_matrix,
     distortion,
-    fd_upper_bound,
-    plgraphmap_from_cellmap,
     sample_points,
 )
-from .plcore import (
-    PLFunction,
-    SimplicialComplex,
-    barycentric_subdivision,
-    interval_preimage_components,
-    level_components,
-    validate_complex,
-)
+from .plcore import PLFunction, SimplicialComplex
 from .reeb import compute_reeb, graph_identity_map, reeb_of_graph
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundRegistry",
     "CellMap",
     "Certificate",
     "CertificationError",
@@ -75,7 +62,6 @@ __all__ = [
     "ReebGraph",
     "SimplicialComplex",
     "ZigzagDiagram",
-    "barycentric_subdivision",
     "build_homotopy_zigzag",
     "circle",
     "complexify",
@@ -89,20 +75,14 @@ __all__ = [
     "d_f",
     "d_matrix",
     "distortion",
-    "fd_upper_bound",
     "graph_identity_map",
     "graph_isomorphic",
     "homotopy_breakpoints",
-    "identity_coupling",
     "induced_map",
-    "induced_quotient_via_reparam",
     "interpolate",
-    "interval_preimage_components",
-    "level_components",
     "limit_projection",
     "minimalize",
     "path",
-    "plgraphmap_from_cellmap",
     "point",
     "point_distance",
     "point_graph",
@@ -114,7 +94,6 @@ __all__ = [
     "sample_points",
     "subdivide_at_levels",
     "triangulate_limit",
-    "validate_complex",
     "verify_reeb_quotient",
     "zigzag_cost",
     "zigzag_from_coupling",

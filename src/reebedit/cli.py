@@ -94,9 +94,12 @@ def cmd_reeb(args) -> int:
     text = (
         serialize.graph_to_dot(graph)
         if args.dot
-        else serialize.dump_json(serialize.graph_to_dict(graph), args.output)
+        else serialize.dump_json(serialize.graph_to_dict(graph), None)
     )
-    if not args.output or args.dot:
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    else:
         sys.stdout.write(text)
     return 0
 
@@ -148,6 +151,9 @@ def _fmt_point(p: GraphPoint) -> str:
 
 
 def cmd_bound(args) -> int:
+    if args.point is not None and args.second is not None:
+        print("bound takes a second instance or --point, not both", file=sys.stderr)
+        return USAGE_ERROR
     if args.point is not None:
         g = serialize.graph_from_dict(serialize.load_json(args.graph))
         print(format_scalar(point_distance(g, parse_scalar(args.point))))

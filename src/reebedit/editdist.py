@@ -79,11 +79,6 @@ def coupling_bound(c: Coupling) -> Scalar:
     )
 
 
-def identity_coupling(graph: ReebGraph) -> Coupling:
-    m = graph_identity_map(graph)
-    return coupling(m, m)
-
-
 def point_graph(c: Scalar = ZERO) -> ReebGraph:
     return ReebGraph(node_values={0: c}, edges=[])
 
@@ -258,28 +253,6 @@ def homotopy_breakpoints(
     return HomotopySchedule(lambdas, rhos, chis, xis)
 
 
-def induced_quotient_via_reparam(
-    complex: SimplicialComplex,
-    f: PLFunction,
-    g: PLFunction,
-    chi: MonotonePL,
-) -> tuple[CellMap, Certificate]:
-    """The quotient map R_f -> R_g induced by g = chi o f, certified.
-
-    induced_map checks the commutation and raises ValueError, with the
-    witness vertex, where it fails.
-    """
-    _, p_f = compute_reeb(complex, f)
-    _, p_g = compute_reeb(complex, g)
-    zeta = induced_map(p_f, p_g, chi)
-    cert = verify_reeb_quotient(zeta)
-    if not cert.ok:
-        raise CertificationError(
-            f"induced map failed certification: {cert.summary()}"
-        )
-    return zeta, cert
-
-
 @dataclass(frozen=True)
 class HomotopyCertificate:
     """Why the homotopy zigzag costs exactly ||f - g||_infinity.
@@ -348,48 +321,3 @@ def build_homotopy_zigzag(
         maps.append((left, right))
     return ZigzagDiagram(graphs, maps, sched.lambdas), cert
 
-
-# -- bound registry ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundRecord:
-    kind: str  # "coupling" | "zigzag-graph" | "zigzag-pl"
-    value: Scalar
-    witness: object
-
-
-class BoundRegistry:
-    """Append-only log of certified upper bounds for one pair of graphs.
-
-    Graph-level zigzag bounds are automatically valid for the PL variant
-    of the distance, so recording one registers both.
-    """
-
-    KINDS = ("coupling", "zigzag-graph", "zigzag-pl")
-
-    def __init__(self) -> None:
-        self.records: list[BoundRecord] = []
-
-    def record(self, kind: str, value: Scalar, witness: object) -> None:
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown bound kind {kind!r}")
-        self.records.append(BoundRecord(kind, value, witness))
-        if kind == "zigzag-graph":
-            self.records.append(BoundRecord("zigzag-pl", value, witness))
-
-    def record_coupling(self, c: Coupling) -> Scalar:
-        b = coupling_bound(c)
-        self.record("coupling", b, c)
-        # a coupling is a one-space zigzag, hence also a PL-zigzag bound
-        self.record("zigzag-pl", b, c)
-        return b
-
-    def record_zigzag(self, z: ZigzagDiagram, graph_level: bool = True) -> Scalar:
-        b = zigzag_cost(z)
-        self.record("zigzag-graph" if graph_level else "zigzag-pl", b, z)
-        return b
-
-    def best(self, kind: Optional[str] = None) -> Optional[Scalar]:
-        vals = [r.value for r in self.records if kind is None or r.kind == kind]
-        return min(vals) if vals else None

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import GraphPoint, ReebGraph, minimalize, point_on_edge
-from .maps import CellMap
 from .plcore import Scalar, UnionFind
 from .reeb import compute_reeb
 
@@ -178,36 +177,6 @@ def _common_edge(g: ReebGraph, p: GraphPoint, q: GraphPoint) -> int:
             f"ambiguous or missing common edge for {p}, {q}: {sorted(common)}"
         )
     return common.pop()
-
-
-def plgraphmap_from_cellmap(zeta: CellMap) -> PLGraphMap:
-    """Convert a quotient-map representation with a graph source into a
-    point-level PL map."""
-    gc = zeta._graph()
-    src = gc.graph
-    tgt = zeta.target
-    vertex_images = {n: zeta.image_point(GraphPoint(node=n)) for n in src.nodes}
-    node_vals = sorted(set(tgt.node_values.values()))
-    edge_paths: dict[int, list[tuple[Scalar, GraphPoint]]] = {}
-    for e in range(len(src.edges)):
-        lo, hi = src.edges[e]
-        a, b = src.value(lo), src.value(hi)
-        us = {a, b}
-        for half in gc.halves(e):
-            v0, v1 = half
-            h0, h1 = zeta.h[v0], zeta.h[v1]
-            u0, u1 = gc.values[v0], gc.values[v1]
-            us.add((u0 + u1) / 2)
-            if h0 != h1:
-                for w in node_vals:
-                    if min(h0, h1) <= w <= max(h0, h1):
-                        us.add(u0 + (w - h0) * (u1 - u0) / (h1 - h0))
-        path = []
-        for u in sorted(us):
-            pt = point_on_edge(src, e, u)
-            path.append((u, zeta.image_point(pt)))
-        edge_paths[e] = path
-    return PLGraphMap(src, tgt, vertex_images, edge_paths)
 
 
 # -- distortion -------------------------------------------------------------
@@ -439,21 +408,6 @@ def correspondence_table(
                 )
             )
     return rows
-
-
-def fd_upper_bound(
-    candidates: list[tuple[PLGraphMap, PLGraphMap]], density: int = 1
-) -> tuple[Scalar, list[DistortionReport]]:
-    """Certified upper bound for the functional distortion distance: the
-    best max(D, defects) over the candidate map pairs.  Candidates whose
-    sample certificate is not tight are reported but do not contribute."""
-    if not candidates:
-        raise ValueError("need at least one candidate map pair")
-    reports = [distortion(phi, psi, density) for phi, psi in candidates]
-    usable = [r.bound for r in reports if r.tight]
-    if not usable:
-        raise ValueError("no candidate produced a tight certificate")
-    return min(usable), reports
 
 
 # -- the cylinder example map pair ------------------------------------------

@@ -1,5 +1,5 @@
 """Exact-arithmetic foundation: scalars, simplicial complexes, PL functions,
-subdivision, and level-set connectivity queries.
+and the connectivity of a set of simplices.
 
 All values are exact rationals (fractions.Fraction), so equality tests on
 levels and breakpoints are exact.  Level sets are never geometrically
@@ -9,7 +9,7 @@ connected) level traces inside every simplex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
@@ -85,12 +85,11 @@ class SimplicialComplex:
     construction when built through :meth:`from_simplices`.
     """
 
-    def __init__(self, simplices: Iterable[Simplex], check: bool = True):
+    def __init__(self, simplices: Iterable[Simplex]):
         simps = {tuple(sorted(s)) for s in simplices}
-        if check:
-            for s in simps:
-                if len(set(s)) != len(s):
-                    raise ValueError(f"simplex with repeated vertex: {s}")
+        for s in simps:
+            if len(set(s)) != len(s):
+                raise ValueError(f"simplex with repeated vertex: {s}")
         self.simplices: frozenset[Simplex] = frozenset(simps)
         self._facets_cache: Optional[dict[Simplex, list[Simplex]]] = None
         self._cofaces_cache: Optional[dict[Simplex, list[Simplex]]] = None
@@ -104,7 +103,7 @@ class SimplicialComplex:
             s = tuple(sorted(s))
             for k in range(1, len(s) + 1):
                 closed.update(combinations(s, k))
-        return cls(closed, check=True)
+        return cls(closed)
 
     @property
     def vertices(self) -> list[int]:
@@ -187,50 +186,6 @@ class PLFunction:
     def max(self) -> Fraction:
         return max(self.values[v] for v in self.complex.vertices)
 
-    def critical_values(self) -> list[Fraction]:
-        return sorted({self.values[v] for v in self.complex.vertices})
-
-
-@dataclass
-class ValidationReport:
-    face_closure_violations: list[Simplex] = field(default_factory=list)
-    duplicate_simplices: list[Simplex] = field(default_factory=list)
-    component_count: int = 0
-
-    @property
-    def valid(self) -> bool:
-        return not self.face_closure_violations and not self.duplicate_simplices
-
-
-def validate_complex(simplices: Sequence[Sequence[int]]) -> ValidationReport:
-    """Diagnose a raw simplex list: face closure, duplicates, components.
-
-    Operates on the raw list (before normalization) so duplicates are
-    reported rather than silently merged.
-    """
-    report = ValidationReport()
-    normalized = [tuple(sorted(s)) for s in simplices]
-    seen: set[Simplex] = set()
-    for s in normalized:
-        if s in seen:
-            report.duplicate_simplices.append(s)
-        seen.add(s)
-    for s in seen:
-        for i in range(len(s)):
-            f = s[:i] + s[i + 1:]
-            if f and f not in seen:
-                report.face_closure_violations.append(f)
-    report.face_closure_violations = sorted(set(report.face_closure_violations))
-    if seen:
-        uf = UnionFind(seen)
-        for s in seen:
-            for i in range(len(s)):
-                f = s[:i] + s[i + 1:]
-                if f in seen:
-                    uf.union(s, f)
-        report.component_count = len(uf.groups())
-    return report
-
 
 def support_components(
     complex: SimplicialComplex, support: Sequence[Simplex]
@@ -251,71 +206,3 @@ def support_components(
                 uf.union(s, face)
     return list(uf.groups().values())
 
-
-def level_components(
-    complex: SimplicialComplex, f: PLFunction, t: Fraction
-) -> list[frozenset[Simplex]]:
-    """Connected components of the level set f^{-1}(t).
-
-    Each component is reported as the set of simplices it meets.  Returns
-    the empty list when t lies outside [min f, max f].
-    """
-    if not complex.simplices:
-        return []
-    if t < f.min() or t > f.max():
-        return []
-    ranges = ((s, f.range_of(s)) for s in complex.simplices)
-    support = [s for s, (lo, hi) in ranges if lo <= t <= hi]
-    return [frozenset(c) for c in support_components(complex, support)]
-
-
-def interval_preimage_components(
-    complex: SimplicialComplex, f: PLFunction, a: Fraction, b: Fraction
-) -> list[frozenset[Simplex]]:
-    """Connected components of f^{-1}([a, b]) as sets of simplices."""
-    if a > b:
-        raise ValueError(f"empty interval: {format_scalar(a)} > {format_scalar(b)}")
-    ranges = ((s, f.range_of(s)) for s in complex.simplices)
-    support = [s for s, (lo, hi) in ranges if lo <= b and hi >= a]
-    return [frozenset(c) for c in support_components(complex, support)]
-
-
-def barycentric_subdivision(
-    complex: SimplicialComplex, f: Optional[PLFunction] = None
-) -> tuple[SimplicialComplex, Optional[PLFunction], dict[Simplex, int]]:
-    """One barycentric subdivision; values extend linearly to barycenters.
-
-    Returns the subdivided complex, the subdivided function (if given) and
-    the map from original simplices to their barycenter vertex ids.
-    """
-    bary_id: dict[Simplex, int] = {}
-    next_id = 0
-    for s in sorted(complex.simplices):
-        bary_id[s] = next_id
-        next_id += 1
-
-    maximal = [s for s in complex.simplices if not complex.cofacets_of(s)]
-    new_simplices: set[Simplex] = set()
-
-    def chains(s: Simplex) -> list[list[Simplex]]:
-        # Descending chains of proper faces starting at s.
-        out = [[s]]
-        if len(s) > 1:
-            for face in combinations(s, len(s) - 1):
-                for c in chains(face):
-                    out.append([s] + c)
-        return out
-
-    for s in maximal:
-        for chain in chains(s):
-            new_simplices.add(tuple(sorted(bary_id[t] for t in chain)))
-
-    sd = SimplicialComplex.from_simplices(new_simplices)
-    sdf = None
-    if f is not None:
-        vals = {
-            bary_id[s]: sum((f(v) for v in s), Fraction(0)) / len(s)
-            for s in complex.simplices
-        }
-        sdf = PLFunction(sd, vals)
-    return sd, sdf, bary_id

@@ -27,13 +27,11 @@ from reebedit.editdist import (
 from reebedit.generators import circle, cylinder, random_instance
 from reebedit.graphs import GraphPoint, graph_isomorphic, minimalize
 from reebedit.maps import compose, verify_reeb_quotient
-from reebedit.metrics import d_matrix, fd_upper_bound
-from reebedit.plcore import (
-    PLFunction,
-    barycentric_subdivision,
-    interval_preimage_components,
-)
+from reebedit.metrics import d_matrix, distortion
+from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map, reeb_of_graph
+
+from oracles import barycentric_subdivision, interval_preimage_components
 
 F = Fraction
 
@@ -89,12 +87,11 @@ def test_criterion_3_functional_distortion_gap(report):
         for n in (8, 16, 32):
             cx, f, g = cylinder(n)
             phi, psi = _cylinder_candidates(cx, f, g)
-            bound, reports = fd_upper_bound([(phi, psi)])
-            assert bound <= F(1, 2)
-            for rep in reports:
-                assert rep.defect_fg == F(0)
-                assert rep.defect_gf == F(0)
-                assert rep.tight
+            rep = distortion(phi, psi)
+            assert rep.tight
+            assert rep.bound <= F(1, 2)
+            assert rep.defect_fg == F(0)
+            assert rep.defect_gf == F(0)
 
             # exhaustive node-pair distortion stays within 1
             gf, gg = phi.source, phi.target

@@ -22,12 +22,13 @@ from reebedit.editdist import (
     zigzag_cost,
 )
 from reebedit.generators import cylinder, random_instance
-from reebedit.geometry import polytope_vertices, pulling_triangulation
+from reebedit.geometry import pulling_triangulation
 from reebedit.graphs import graph_isomorphic, minimalize
 from reebedit.maps import MonotonePL, verify_reeb_quotient
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map
 
+from oracles import polytope_vertices
 from test_geometry import geometric_pulling_triangulation, tight_sets
 
 F = Fraction

@@ -70,6 +70,16 @@ def test_reeb_json_and_dot(tmp_path, capsys):
     assert out.startswith("graph")
 
 
+def test_reeb_dot_to_file(tmp_path, capsys):
+    f_path, _ = _cyl_files(tmp_path, capsys)
+    code, want, _ = _run(capsys, "reeb", f_path, "--dot")
+    assert code == 0
+    dot_path = tmp_path / "rf.dot"
+    code, out, _ = _run(capsys, "reeb", f_path, "--dot", "-o", str(dot_path))
+    assert (code, out) == (0, "")
+    assert dot_path.read_text() == want
+
+
 def test_reeb_certify(tmp_path, capsys):
     f_path, _ = _cyl_files(tmp_path, capsys)
     code, out, _ = _run(capsys, "reeb", f_path, "--certify")
@@ -131,6 +141,15 @@ def test_bound_point_mode(tmp_path, capsys):
     code, out, _ = _run(capsys, "bound", str(r_path), "--point", "0")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_bound_point_mode_rejects_a_second_instance(tmp_path, capsys):
+    f_path, g_path = _cyl_files(tmp_path, capsys)
+    missing = str(tmp_path / "missing.json")
+    # rejected before anything is loaded: a missing graph file is not read
+    code, out, err = _run(capsys, "bound", missing, g_path, "--point", "0")
+    assert (code, out) == (2, "")
+    assert "not both" in err
 
 
 def test_zigzag_command(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from reebedit import category
 from reebedit.editdist import (
-    BoundRegistry,
     ZigzagDiagram,
     _certify_homotopy,
     build_homotopy_zigzag,
@@ -16,8 +15,6 @@ from reebedit.editdist import (
     coupling,
     coupling_bound,
     homotopy_breakpoints,
-    identity_coupling,
-    induced_quotient_via_reparam,
     interpolate,
     point_distance,
     point_graph,
@@ -26,9 +23,10 @@ from reebedit.editdist import (
     zigzag_from_coupling,
 )
 from reebedit.generators import cylinder, random_instance
-from reebedit.maps import CertificationError, verify_reeb_quotient
+from reebedit.category import induced_map
+from reebedit.maps import CertificationError, MonotonePL, verify_reeb_quotient
 from reebedit.plcore import PLFunction
-from reebedit.reeb import compute_reeb
+from reebedit.reeb import compute_reeb, graph_identity_map
 
 F = Fraction
 
@@ -56,8 +54,8 @@ def test_cylinder_coupling_bound_is_one():
 def test_identity_coupling_bound_zero():
     cx, f, _ = random_instance(3, nverts=5)
     r, _ = compute_reeb(cx, f)
-    c = identity_coupling(r)
-    assert coupling_bound(c) == F(0)
+    m = graph_identity_map(r)
+    assert coupling_bound(coupling(m, m)) == F(0)
 
 
 def test_coupling_rejects_different_sources():
@@ -253,20 +251,22 @@ def test_induced_quotient_via_reparam_certified():
     sched = homotopy_breakpoints(cx, f, g)
     f_rho = interpolate(f, g, sched.rhos[0])
     f_lam = interpolate(f, g, sched.lambdas[0])
-    m, cert = induced_quotient_via_reparam(cx, f_rho, f_lam, sched.chis[0])
+    _, p_rho = compute_reeb(cx, f_rho)
+    _, p_lam = compute_reeb(cx, f_lam)
+    m = induced_map(p_rho, p_lam, sched.chis[0])
+    cert = verify_reeb_quotient(m)
     assert cert.ok, cert.summary()
-    assert verify_reeb_quotient(m).ok
 
 
 def test_induced_quotient_rejects_bad_reparam():
-    from reebedit.maps import MonotonePL
-
     cx, f, g = random_instance(9, nverts=5, second_function=True)
     lo = min(f(v) for v in cx.vertices)
     hi = max(f(v) for v in cx.vertices)
     bad = MonotonePL.identity(lo, hi)
+    _, p_f = compute_reeb(cx, f)
+    _, p_g = compute_reeb(cx, g)
     with pytest.raises(ValueError):
-        induced_quotient_via_reparam(cx, f, g, bad)
+        induced_map(p_f, p_g, bad)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -302,21 +302,3 @@ def test_homotopy_zigzag_identical_functions_costs_zero():
     assert cert.stage_gaps == (F(0),)
     assert len(z.graphs) == 2  # no interior breakpoints
 
-
-def test_bound_registry_invariants():
-    reg = BoundRegistry()
-    _, _, _, c = _coupled(2)
-    b = reg.record_coupling(c)
-    assert b == coupling_bound(c)
-    # a coupling bound is also a PL-zigzag bound
-    assert reg.best("zigzag-pl") == b
-    z = zigzag_from_coupling(c)
-    bz = reg.record_zigzag(z)
-    # every graph-zigzag bound doubles as a PL-zigzag bound
-    kinds = [r.kind for r in reg.records]
-    assert kinds.count("zigzag-pl") == 2
-    assert reg.best("coupling") == b
-    assert reg.best() == min(b, bz)
-    with pytest.raises(ValueError):
-        reg.record("nonsense", F(1), None)
-    assert reg.best("nonsense-kind") is None

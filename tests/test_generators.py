@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from reebedit.generators import circle, cylinder, path, point, random_instance
-from reebedit.plcore import validate_complex
+from reebedit.plcore import SimplicialComplex
 
 F = Fraction
 
@@ -11,7 +11,7 @@ F = Fraction
 def test_cylinder_structure():
     cx, f, g = cylinder(8)
     assert cx.is_connected()
-    assert validate_complex(sorted(cx.simplices)).valid
+    assert SimplicialComplex.from_simplices(cx.simplices) == cx
     # 2n rim vertices on two circles
     assert len(cx.vertices) == 32
     # Euler characteristic of a cylinder is 0

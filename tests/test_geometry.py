@@ -7,14 +7,9 @@ from hypothesis import strategies as st
 
 from reebedit import maps
 from reebedit.generators import random_instance
-from reebedit.geometry import (
-    dot,
-    polytope_vertices,
-    pulling_triangulation,
-    rref,
-    simplex_slice,
-    solve_affine,
-)
+from reebedit.geometry import pulling_triangulation, simplex_slice
+
+from oracles import dot, polytope_vertices, rref, solve_affine
 
 F = Fraction
 

@@ -10,8 +10,6 @@ from reebedit.metrics import (
     d_f,
     d_matrix,
     distortion,
-    fd_upper_bound,
-    plgraphmap_from_cellmap,
     sample_points,
 )
 from reebedit.reeb import compute_reeb
@@ -182,18 +180,6 @@ def test_plgraphmap_value_defect():
     assert phi.value_defect() == F(1)
 
 
-def test_plgraphmap_from_cellmap_agrees_with_quotient():
-    cx, f, _ = random_instance(8, nverts=5)
-    r, p = compute_reeb(cx, f)
-    from reebedit.reeb import graph_identity_map
-
-    ident = graph_identity_map(r)
-    phi = plgraphmap_from_cellmap(ident)
-    assert phi.value_defect() == F(0)
-    for n in r.nodes:
-        assert phi(GraphPoint(node=n)) == GraphPoint(node=n)
-
-
 def _cylinder_report(n: int, density: int = 1):
     from reebedit.metrics import _cylinder_candidates
 
@@ -216,11 +202,6 @@ def test_fd_upper_bound_picks_tight_candidate():
 
     cx, f, g = cylinder(8)
     phi, psi = _cylinder_candidates(cx, f, g)
-    bound, reports = fd_upper_bound([(phi, psi)])
-    assert bound == F(1, 2)
-    assert all(r.tight for r in reports)
-
-
-def test_fd_upper_bound_requires_candidates():
-    with pytest.raises(ValueError):
-        fd_upper_bound([])
+    r = distortion(phi, psi)
+    assert r.tight
+    assert r.bound == F(1, 2)

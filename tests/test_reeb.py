@@ -10,6 +10,8 @@ from reebedit.maps import verify_reeb_quotient
 from reebedit.plcore import PLFunction, SimplicialComplex
 from reebedit.reeb import compute_reeb, graph_identity_map, reeb_of_graph
 
+from oracles import barycentric_subdivision
+
 F = Fraction
 
 
@@ -95,8 +97,6 @@ def test_compute_reeb_matches_naive_sweep_dense_property(seed, n):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_compute_reeb_subdivision_invariant(seed):
-    from reebedit.plcore import barycentric_subdivision
-
     cx, f, _ = random_instance(seed, nverts=6)
     r1, _ = compute_reeb(cx, f)
     sd, f2, _ = barycentric_subdivision(cx, f)
