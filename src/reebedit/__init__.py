@@ -1,7 +1,13 @@
 """Exact Reeb graphs of PL functions, certified quotient maps, and
 constructive upper bounds for the universal edit distance."""
 
-from .category import induced_map, limit_projection, pullback, triangulate_limit
+from .category import (
+    compose,
+    induced_map,
+    limit_projection,
+    pullback,
+    triangulate_limit,
+)
 from .editdist import (
     Coupling,
     HomotopyCertificate,
@@ -32,8 +38,6 @@ from .maps import (
     Certificate,
     CertificationError,
     MonotonePL,
-    compose,
-    subdivide_at_levels,
     verify_reeb_quotient,
 )
 from .metrics import (
@@ -92,7 +96,6 @@ __all__ = [
     "random_instance",
     "reeb_of_graph",
     "sample_points",
-    "subdivide_at_levels",
     "triangulate_limit",
     "verify_reeb_quotient",
     "zigzag_cost",

@@ -10,6 +10,9 @@ where each of its inequalities is tight.  Cells are triangulated from those
 incidences alone (geometry.pulling_triangulation).  Pullbacks are the only
 limit construction: products are pullbacks over a point, and the limit of
 a longer zigzag is an iterated pullback (editdist.zigzag_cost).
+Composition is a pullback projection too: the pullback of q against the
+identity of its target subdivides q's source, and projecting it through p
+gives p o q (compose).
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from .maps import (
     slot_in,
 )
 from .plcore import Scalar, Simplex, SimplicialComplex
+from .reeb import graph_identity_map
 
 ZERO = Fraction(0)
 
@@ -155,7 +159,8 @@ def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
     """Fiber product of p1 and p2 over their common target graph.
 
     Cells come in the order of p1's pieces, then p2's pieces, then the
-    modes of each pair; a cell whose vertex set repeats an earlier one is
+    modes of each pair; only pairs whose cells' closures share a node are
+    visited, and a cell whose vertex set repeats an earlier one is
     dropped.  The vertices depend only on the two simplices and the value
     range [lo, hi], so a pair that repeats an earlier pair's is skipped
     before its vertices are built.  Past CELL_BUDGET cells the enumeration
@@ -165,12 +170,19 @@ def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
         raise ValueError("pullback requires a common target")
     g = p2.target
     pieces2 = _pieces(p2)
+    # per node, the indices of p2's pieces whose cell's closure holds it:
+    # _modes is empty unless the closures of the two cells share a node
+    near: dict[int, set[int]] = {n: set() for n in g.nodes}
+    for i, b in enumerate(pieces2):
+        for n in _closure_nodes(g, b.cell):
+            near[n].add(i)
     cells: list[LimitCell] = []
     tried: set[tuple] = set()
     seen: set[frozenset] = set()
     for a in _pieces(p1):
         d = len(a.simplex)
-        for b in pieces2:
+        for i in sorted(set().union(*(near[n] for n in _closure_nodes(g, a.cell)))):
+            b = pieces2[i]
             for mode in _modes(g, a.cell, b.cell):
                 lo, hi = _meet(a.span, b.span)
                 if mode[0] == "node":
@@ -262,6 +274,21 @@ def limit_projection(T: TriangulatedLimit, factor: int, m: CellMap) -> CellMap:
     return restrict_cellmap(m, T.complex, h, host)
 
 
+def compose(p: CellMap, q: CellMap) -> CellMap:
+    """The composite p o q of q: X -> R and p out of R's complexification.
+
+    The identity of R is a homeomorphism, so the pullback of q against it
+    is a subdivision of X: X cut at every level of complexify(R), that is,
+    R's node values and edge midpoints.  The composite's source is that
+    triangulated pullback, projected through p; past CELL_BUDGET limit
+    cells the pullback raises RuntimeError.
+    """
+    ident = graph_identity_map(q.target)
+    if p.source.simplices != ident.source.simplices:
+        raise ValueError("codomain of q is not the domain of p")
+    return limit_projection(triangulate_limit(pullback(q, ident)), 1, p)
+
+
 def _require_affine_between_levels(xi: MonotonePL, m: CellMap) -> None:
     """Raise unless xi's breakpoints span m's levels and xi is affine on
     every open gap between consecutive levels."""
@@ -319,7 +346,7 @@ def induced_map(
     if gcf is None:
         gcf = complexify(p_f.target)
     h = {w: xi(gcf.values[w]) for w in gcf.complex.vertices}
-    out = CellMap(gcf.complex, h, p_g.target, {}, gcf)
+    out = CellMap(gcf.complex, h, p_g.target, {})
     # (slot, cell) of p_f -> first maximal simplex over that cell in that
     # slot, and each maximal simplex's slots of p_g
     first_over: dict[tuple[Slot, Cell], Simplex] = {}

@@ -86,10 +86,12 @@ def cmd_generate(args) -> int:
 def cmd_reeb(args) -> int:
     cx, f = _load_instance(args.instance)
     graph, p = compute_reeb(cx, f)
+    report = ""
     if args.certify:
         cert = verify_reeb_quotient(p)
-        print(cert.summary())
+        report = cert.summary() + "\n"
         if not cert.ok:
+            sys.stdout.write(report)
             return AXIOM_ERROR
     text = (
         serialize.graph_to_dot(graph)
@@ -97,10 +99,12 @@ def cmd_reeb(args) -> int:
         else serialize.dump_json(serialize.graph_to_dict(graph), None)
     )
     if args.output:
+        # the file is written before the report is printed
         with open(args.output, "w") as fh:
             fh.write(text)
+        sys.stdout.write(report)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(report + text)
     return 0
 
 
@@ -124,11 +128,6 @@ def cmd_distortion(args) -> int:
     cx, f, g = generators.cylinder(args.n)
     phi, psi = _cylinder_candidates(cx, f, g)
     report = distortion(phi, psi, density=args.density)
-    print(f"distortion D = {format_scalar(report.distortion)}")
-    print(f"defect f->g = {format_scalar(report.defect_fg)}")
-    print(f"defect g->f = {format_scalar(report.defect_gf)}")
-    print(f"bound = {format_scalar(report.bound)}")
-    print(f"tight = {report.tight}")
     if args.csv:
         from .metrics import correspondence_table
 
@@ -141,6 +140,11 @@ def cmd_distortion(args) -> int:
                     f"{_fmt_point(q2)},{format_scalar(df_v)},"
                     f"{format_scalar(dg_v)},{format_scalar(abs(df_v - dg_v))}\n"
                 )
+    print(f"distortion D = {format_scalar(report.distortion)}")
+    print(f"defect f->g = {format_scalar(report.defect_fg)}")
+    print(f"defect g->f = {format_scalar(report.defect_gf)}")
+    print(f"bound = {format_scalar(report.bound)}")
+    print(f"tight = {report.tight}")
     return 0
 
 
@@ -195,8 +199,6 @@ def cmd_homotopy(args) -> int:
     z, cert = build_homotopy_zigzag(*pair)
     if args.certify:
         z.validate()
-    print(f"cost = {format_scalar(cert.cost)}")
-    print("cost <= ||f-g||: OK")
     if args.output:
         witness = {
             "lambdas": [format_scalar(t) for t in z.lambdas],
@@ -206,6 +208,8 @@ def cmd_homotopy(args) -> int:
             "stage_gaps": [format_scalar(t) for t in cert.stage_gaps],
         }
         serialize.dump_json(witness, args.output)
+    print(f"cost = {format_scalar(cert.cost)}")
+    print("cost <= ||f-g||: OK")
     return 0
 
 

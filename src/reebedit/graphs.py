@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .plcore import Scalar, SimplicialComplex, Simplex, UnionFind, format_scalar
+from .plcore import SimplicialComplex, Simplex, UnionFind, format_scalar
 
 
 class ReebGraph:
@@ -131,21 +131,6 @@ class GraphComplex:
     node_vertex: dict[int, int]
     mid_vertex: dict[int, int]
     host: dict[Simplex, tuple[str, int]]
-
-    def halves(self, e: int) -> tuple[Simplex, Simplex]:
-        """Lower and upper half simplices of edge e."""
-        lo, hi = self.graph.edges[e]
-        a, b, m = self.node_vertex[lo], self.node_vertex[hi], self.mid_vertex[e]
-        return tuple(sorted((a, m))), tuple(sorted((m, b)))
-
-    def half_containing(self, e: int, t: Fraction) -> Simplex:
-        """Half simplex of edge e whose value range contains t."""
-        lo_v, hi_v = self.graph.edge_range(e)
-        mid = self.values[self.mid_vertex[e]]
-        if not lo_v <= t <= hi_v:
-            raise ValueError(f"value {format_scalar(t)} outside edge {e}")
-        lo_half, hi_half = self.halves(e)
-        return lo_half if t <= mid else hi_half
 
 
 def complexify(graph: ReebGraph) -> GraphComplex:

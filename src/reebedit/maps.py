@@ -14,17 +14,15 @@ Only this module knows that encoding; everything else asks
 slots: an edge cell is snapped to its end node by comparing slots
 (`CellMap.snap`), and a map is re-read over other levels through the run of
 its slots each of their slots meets (`CellMap.slots_over`).  Values are
-compared only for point queries (`cell_at`).
+compared only to find the slot holding a value (`slot_in`).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .geometry import pulling_triangulation, simplex_slice
-from .graphs import GraphComplex, GraphPoint, ReebGraph, point_on_edge
+from .graphs import ReebGraph
 from .plcore import Scalar, Simplex, SimplicialComplex, support_components
 
 # a cell of a graph: ("n", node_id) or ("e", edge_id)
@@ -110,13 +108,11 @@ class CellMap:
         h: dict[int, Scalar],
         target: ReebGraph,
         assignment: dict[Simplex, dict[Slot, Cell]],
-        source_graph: Optional[GraphComplex] = None,
     ):
         self.source = source
         self.h = dict(h)
         self.target = target
         self.assignment = assignment
-        self.source_graph = source_graph
         lv = set(h.values()) | {target.value(n) for n in target.nodes}
         self.levels: list[Scalar] = sorted(lv)
         self._rank, self._vertex_rank = level_ranks(self.h, self.levels)
@@ -138,10 +134,6 @@ class CellMap:
         open gap (lo, hi) otherwise."""
         i, gap = divmod(slot, 2)
         return self.levels[i], self.levels[i + gap]
-
-    def simplex_range(self, s: Simplex) -> tuple[Scalar, Scalar]:
-        vals = [self.h[v] for v in s]
-        return min(vals), max(vals)
 
     def slots_of(self, s: Simplex) -> range:
         return rank_slots(self._vertex_rank, s)
@@ -166,67 +158,15 @@ class CellMap:
                     return ("n", n)
         return cell
 
-    # -- cell lookup ---------------------------------------------------
-
-    def cell_at(self, s: Simplex, t: Scalar) -> Cell:
-        """Graph cell containing the image of (the part of) s at value t."""
-        lo, hi = self.simplex_range(s)
-        if not lo <= t <= hi:
-            raise ValueError(f"simplex {s} does not meet value {t}")
-        return self.assignment[s][self.slot_of(t)]
-
-    def point_of_cell(self, cell: Cell, t: Scalar) -> GraphPoint:
-        if cell[0] == "n":
-            return GraphPoint(node=cell[1])
-        return point_on_edge(self.target, cell[1], t)
-
-    def vertex_image(self, v: int) -> GraphPoint:
-        t = self.h[v]
-        return self.point_of_cell(self.cell_at((v,), t), t)
-
-    def point_image(self, s: Simplex, t: Scalar) -> GraphPoint:
-        return self.point_of_cell(self.cell_at(s, t), t)
-
-    # -- graph-source helpers (for maps out of complexified graphs) ----
-
-    def value_at_graph_point(self, gp: GraphPoint) -> Scalar:
-        """h extended to points of the source graph (source_graph required)."""
-        gc = self._graph()
-        if gp.is_node:
-            return self.h[gc.node_vertex[gp.node]]
-        half = gc.half_containing(gp.edge, gp.t)
-        a, b = half
-        va, vb = gc.values[a], gc.values[b]
-        ha, hb = self.h[a], self.h[b]
-        return ha + (hb - ha) * (gp.t - va) / (vb - va)
-
-    def cell_at_graph_point(self, gp: GraphPoint) -> Cell:
-        gc = self._graph()
-        if gp.is_node:
-            v = gc.node_vertex[gp.node]
-            return self.cell_at((v,), self.h[v])
-        half = gc.half_containing(gp.edge, gp.t)
-        return self.cell_at(half, self.value_at_graph_point(gp))
-
-    def image_point(self, gp: GraphPoint) -> GraphPoint:
-        t = self.value_at_graph_point(gp)
-        return self.point_of_cell(self.cell_at_graph_point(gp), t)
-
-    def _graph(self) -> GraphComplex:
-        if self.source_graph is None:
-            raise ValueError("map source is not a graph")
-        return self.source_graph
-
 
 def cellmap_from_hosting(
     source: SimplicialComplex,
     h: dict[int, Scalar],
     target: ReebGraph,
     host: dict[Simplex, Cell],
-    source_graph: Optional[GraphComplex] = None,
 ) -> CellMap:
     """Build a CellMap when every simplex lands inside a single cell."""
-    m = CellMap(source, h, target, {}, source_graph)
+    m = CellMap(source, h, target, {})
     assignment: dict[Simplex, dict[Slot, Cell]] = {}
     for s in source.simplices:
         cell = host[s]
@@ -367,110 +307,7 @@ def _cell_violation(m: CellMap, s: Simplex, slot: Slot, cell: Cell) -> Violation
     return Violation("level-cell", f"{s}@{lo}: {what}")
 
 
-# -- subdivision and restriction -----------------------------------------
-
-
-def subdivide_at_levels(
-    complex: SimplicialComplex,
-    h: dict[int, Scalar],
-    cuts: set[Scalar],
-    extra: Optional[list[dict[int, Scalar]]] = None,
-) -> tuple[SimplicialComplex, dict[int, Scalar], list[dict[int, Scalar]], dict]:
-    """Slice a complex along the hyperplanes {h = c} for c in cuts.
-
-    Returns (new complex, new h, interpolated extras, host) where host maps
-    each new simplex to the smallest old simplex containing it.  Slab
-    pieces are triangulated by a pulling triangulation with a global vertex
-    order, so neighboring simplices agree on shared faces.
-    """
-    extra = extra or []
-    new_h = dict(h)
-    new_extra = [dict(d) for d in extra]
-    next_id = max(complex.vertices) + 1
-    cut_vertex: dict[tuple, int] = {}
-
-    def vertex_on_edge(u: int, w: int, c: Scalar) -> int:
-        nonlocal next_id
-        key = (min(u, w), max(u, w), c)
-        if key in cut_vertex:
-            return cut_vertex[key]
-        vid = next_id
-        next_id += 1
-        cut_vertex[key] = vid
-        lam = (c - h[u]) / (h[w] - h[u])
-        new_h[vid] = c
-        for d, nd in zip(extra, new_extra):
-            nd[vid] = d[u] + lam * (d[w] - d[u])
-        return vid
-
-    all_cuts = sorted(cuts)
-    new_simplices: list[tuple] = []
-    host: dict[Simplex, Simplex] = {}
-    for s in complex.maximal_simplices():
-        hs = [h[v] for v in s]
-        lo, hi = min(hs), max(hs)
-        inner = [c for c in all_cuts if lo < c < hi]
-        if not inner:
-            new_simplices.append(s)
-            for face in _faces_of(s):
-                host.setdefault(face, face)
-            continue
-        # barycentric coordinates on s; the slab's inequalities are x_j >= 0
-        # for each vertex j of s, then a <= h and h <= b
-        d = len(s)
-        bounds = [lo] + inner + [hi]
-        for a, b in zip(bounds, bounds[1:]):
-            # the slab's vertices with their values: both end slices, then
-            # the vertices of s between them
-            pts = [(p, a) for p in simplex_slice(hs, a)]
-            pts += [(p, b) for p in simplex_slice(hs, b)]
-            pts += [
-                (tuple(Fraction(int(i == j)) for i in range(d)), hs[j])
-                for j in range(d)
-                if a < hs[j] < b
-            ]
-            slab: dict[int, tuple[tuple, Scalar]] = {}
-            for p, t in sorted(pts):
-                supp = [j for j in range(d) if p[j] != 0]
-                if len(supp) == 1:
-                    vid = s[supp[0]]
-                else:
-                    # cut vertex: lies on an edge of s at a cut value
-                    (j0, j1) = supp
-                    vid = vertex_on_edge(s[j0], s[j1], t)
-                slab[vid] = (p, t)
-            # per inequality, the vertices where it is tight
-            faces = [
-                frozenset(v for v, (p, _) in slab.items() if p[j] == 0)
-                for j in range(d)
-            ]
-            faces += [
-                frozenset(v for v, (_, t) in slab.items() if t == end) for end in (a, b)
-            ]
-            for simp in pulling_triangulation(slab, faces):
-                new_simplices.append(tuple(sorted(simp)))
-    sliced = SimplicialComplex.from_simplices(new_simplices)
-    # host: smallest old simplex whose vertex set's extension covers the piece
-    edge_of_cut: dict[int, tuple] = {}
-    for (u, w, _c), vid in cut_vertex.items():
-        edge_of_cut[vid] = (u, w)
-    for piece in sliced.simplices:
-        old_vs: set[int] = set()
-        for v in piece:
-            if v in edge_of_cut:
-                old_vs.update(edge_of_cut[v])
-            else:
-                old_vs.add(v)
-        host[piece] = tuple(sorted(old_vs))
-    return sliced, new_h, new_extra, host
-
-
-def _faces_of(s: Simplex):
-    from itertools import combinations as _comb
-
-    for k in range(1, len(s) + 1):
-        for f in _comb(s, k):
-            yield f
+# -- restriction to a subdivision ----------------------------------------
 
 
 def restrict_cellmap(
@@ -486,7 +323,7 @@ def restrict_cellmap(
     range, so each new slot meets a run of old slots (`CellMap.slots_over`),
     and the host must carry a single cell over that run.
     """
-    out = CellMap(sliced, new_h, m.target, {}, None)
+    out = CellMap(sliced, new_h, m.target, {})
     over = m.slots_over(out.levels)
     assignment: dict[Simplex, dict[Slot, Cell]] = {}
     for piece in sliced.simplices:
@@ -506,118 +343,6 @@ def restrict_cellmap(
                 raise ValueError(f"simplex {hs} maps the gap ({a},{b}) to node {cell}")
             per[slot] = m.snap(cell, run[0])
         assignment[piece] = per
-    out.assignment = assignment
-    return out
-
-
-# -- composition ---------------------------------------------------------
-
-
-def _sweep(q: CellMap, p: CellMap, s: Simplex) -> tuple[list[Scalar], list[Scalar]]:
-    """Sample the composite value u -> value_p(image of s-fiber at u) on a
-    grid of u-values fine enough that it is linear between samples.
-
-    Returns (grid, phi values).  Requires p's source to be q's target.
-    """
-    gridset: set[Scalar] = set()
-    for slot in q.slots_of(s):
-        a, b = q.slot_range(slot)
-        gridset.update((a, b))
-        cell = q.assignment[s][slot]
-        if cell[0] == "e":
-            el, eh = q.target.edges[cell[1]]
-            mid = (q.target.value(el) + q.target.value(eh)) / 2
-            if a < mid < b:
-                gridset.add(mid)
-    grid = sorted(gridset)
-    phivals = [
-        p.value_at_graph_point(q.point_of_cell(q.cell_at(s, u), u)) for u in grid
-    ]
-    return grid, phivals
-
-
-def _fold_values(grid: list[Scalar], phi: list[Scalar]) -> set[Scalar]:
-    """u-values at strict interior extrema of a sampled PL function."""
-    folds: set[Scalar] = set()
-    n = len(grid)
-    for i in range(1, n - 1):
-        left = next((phi[j] for j in range(i - 1, -1, -1) if phi[j] != phi[i]), None)
-        right = next((phi[j] for j in range(i + 1, n) if phi[j] != phi[i]), None)
-        if left is None or right is None:
-            continue
-        if (left < phi[i] and right < phi[i]) or (left > phi[i] and right > phi[i]):
-            folds.add(grid[i])
-    return folds
-
-
-def _preimage_of_value(
-    grid: Sequence[Scalar], phi: Sequence[Scalar], t: Scalar
-) -> tuple[Scalar, Scalar]:
-    """First and last u (in list order) where a sampled PL function equals
-    t.  phi must be weakly increasing along the list; the grid itself may
-    run in either direction (a reversed decreasing sweep)."""
-    i = bisect_left(phi, t)
-    j = bisect_right(phi, t) - 1
-    if i == len(phi) or j < 0:
-        raise ValueError(f"value {t} not attained")
-    if i <= j:
-        return grid[i], grid[j]
-    # no sample equals t: it is crossed between samples j and i = j + 1
-    u = grid[j] + (t - phi[j]) * (grid[i] - grid[j]) / (phi[i] - phi[j])
-    return u, u
-
-
-def compose(p: CellMap, q: CellMap) -> CellMap:
-    """Composite p ∘ q where q maps into the graph that p maps out of.
-
-    If the fiberwise value sweep folds (is non-monotone) on some simplex,
-    the source is first sliced at the fold values so every piece sweeps
-    monotonely; the composite is then read off pointwise.
-    """
-    if p.source_graph is None:
-        raise ValueError("p must have a graph source")
-    if p.source_graph.graph is not q.target and not _same_graph(
-        p.source_graph.graph, q.target
-    ):
-        raise ValueError("codomain of q is not the domain of p")
-
-    folds: set[Scalar] = set()
-    for s in q.source.maximal_simplices():
-        grid, phi = _sweep(q, p, s)
-        folds |= _fold_values(grid, phi)
-    qq = q
-    if folds:
-        sliced, nh, _, host = subdivide_at_levels(q.source, q.h, folds)
-        qq = restrict_cellmap(q, sliced, nh, host)
-
-    # composite vertex values
-    ch: dict[int, Scalar] = {}
-    for v in qq.source.vertices:
-        ch[v] = p.value_at_graph_point(qq.vertex_image(v))
-
-    out = CellMap(
-        qq.source, ch, p.target, {}, None if folds else q.source_graph
-    )
-    assignment: dict[Simplex, dict[Slot, Cell]] = {}
-    for s in qq.source.simplices:
-        grid, phi = _sweep(qq, p, s)
-        if phi and phi[0] > phi[-1]:
-            grid = grid[::-1]
-            phi = phi[::-1]
-        per: dict[Slot, Cell] = {}
-        for slot in out.slots_of(s):
-            # u: the middle of the source interval sweeping onto the slot
-            a, b = out.slot_range(slot)
-            ua = _preimage_of_value(grid, phi, a)[1]
-            ub = _preimage_of_value(grid, phi, b)[0]
-            u = (ua + ub) / 2
-            cell = p.cell_at_graph_point(qq.point_of_cell(qq.cell_at(s, u), u))
-            if slot % 2 and cell[0] != "e":
-                raise ValueError(
-                    f"composite of {s} over gap ({a},{b}) landed on node {cell}"
-                )
-            per[slot] = out.snap(cell, slot)
-        assignment[s] = per
     out.assignment = assignment
     return out
 
@@ -685,4 +410,13 @@ class MonotonePL:
     def preimage(self, t: Scalar) -> tuple[Scalar, Scalar]:
         """The closed interval {u : self(u) == t} within the breakpoint
         range (a single point when the value is attained transversally)."""
-        return _preimage_of_value(self._us, self._vs, t)
+        us, vs = self._us, self._vs
+        i = bisect_left(vs, t)
+        j = bisect_right(vs, t) - 1
+        if i == len(vs) or j < 0:
+            raise ValueError(f"value {t} not attained")
+        if i <= j:
+            return us[i], us[j]
+        # no breakpoint has the value t: it is crossed between j and i = j + 1
+        u = us[j] + (t - vs[j]) * (us[i] - us[j]) / (vs[i] - vs[j])
+        return u, u

@@ -176,16 +176,6 @@ class PLFunction:
     def __call__(self, v: int) -> Fraction:
         return self.values[v]
 
-    def range_of(self, s: Simplex) -> tuple[Fraction, Fraction]:
-        vals = [self.values[v] for v in s]
-        return min(vals), max(vals)
-
-    def min(self) -> Fraction:
-        return min(self.values[v] for v in self.complex.vertices)
-
-    def max(self) -> Fraction:
-        return max(self.values[v] for v in self.complex.vertices)
-
 
 def support_components(
     complex: SimplicialComplex, support: Sequence[Simplex]

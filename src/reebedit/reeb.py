@@ -9,7 +9,7 @@ endpoints.
 """
 from __future__ import annotations
 
-from .graphs import GraphComplex, ReebGraph, complexify
+from .graphs import ReebGraph, complexify
 from .maps import (
     Cell,
     CellMap,
@@ -84,20 +84,14 @@ def compute_reeb(
 def reeb_of_graph(graph: ReebGraph) -> tuple[ReebGraph, CellMap]:
     """Reeb graph of a graph under its own value function.
 
-    The source is the complexified graph, so the returned map can be
-    post-composed with maps out of `graph`'s complexification.
+    The source is the complexified graph, so the returned map composes
+    with maps onto `graph` (`category.compose`).
     """
     gc = complexify(graph)
-    f = PLFunction(gc.complex, gc.values)
-    rg, m = compute_reeb(gc.complex, f)
-    m.source_graph = gc
-    return rg, m
+    return compute_reeb(gc.complex, PLFunction(gc.complex, gc.values))
 
 
 def graph_identity_map(graph: ReebGraph) -> CellMap:
     """The identity quotient of a graph, as a map from its complexification."""
     gc = complexify(graph)
-    host: dict[Simplex, Cell] = {}
-    for s in gc.complex.simplices:
-        host[s] = gc.host[s]
-    return cellmap_from_hosting(gc.complex, dict(gc.values), graph, host, gc)
+    return cellmap_from_hosting(gc.complex, dict(gc.values), graph, gc.host)

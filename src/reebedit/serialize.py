@@ -7,13 +7,7 @@ import json
 from typing import Optional
 
 from .graphs import ReebGraph
-from .plcore import (
-    PLFunction,
-    Scalar,
-    SimplicialComplex,
-    format_scalar,
-    parse_scalar,
-)
+from .plcore import PLFunction, SimplicialComplex, format_scalar, parse_scalar
 
 # Input instances are complexes of dimension at most 3.  The library's own
 # constructions may go higher: a fiber product of two triangles over one

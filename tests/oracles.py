@@ -2,17 +2,21 @@
 
 None of this is called by the library.  The preimage components and the
 barycentric subdivision check the Reeb sweep and its invariance under
-refinement; the exact linear algebra and the general H-polytope vertex
-enumeration `polytope_vertices` (every d-subset of tight inequalities,
-C(m, d) solves) check the closed-form pullback cells and slabs.
+refinement; the pointwise images read a quotient map at one value of one
+simplex, to check induced maps and restrictions point by point; the exact
+linear algebra and the general H-polytope vertex enumeration
+`polytope_vertices` (every d-subset of tight inequalities, C(m, d) solves)
+check the closed-form pullback cells.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from reebedit.geometry import Vector
+from reebedit.graphs import GraphComplex, GraphPoint, point_on_edge
+from reebedit.maps import Cell, CellMap
 from reebedit.plcore import (
     PLFunction,
     Simplex,
@@ -31,13 +35,19 @@ ONE = Fraction(1)
 # -- preimages and subdivision -----------------------------------------------
 
 
+def range_of(values: Mapping[int, Fraction], s: Simplex) -> tuple[Fraction, Fraction]:
+    """Value range over the simplex s of the linear extension of values."""
+    vals = [values[v] for v in s]
+    return min(vals), max(vals)
+
+
 def interval_preimage_components(
     complex: SimplicialComplex, f: PLFunction, a: Fraction, b: Fraction
 ) -> list[frozenset[Simplex]]:
     """Connected components of f^{-1}([a, b]) as sets of simplices."""
     if a > b:
         raise ValueError(f"empty interval: {format_scalar(a)} > {format_scalar(b)}")
-    ranges = ((s, f.range_of(s)) for s in complex.simplices)
+    ranges = ((s, range_of(f.values, s)) for s in complex.simplices)
     support = [s for s, (lo, hi) in ranges if lo <= b and hi >= a]
     return [frozenset(c) for c in support_components(complex, support)]
 
@@ -81,6 +91,50 @@ def barycentric_subdivision(
         }
         sdf = PLFunction(sd, vals)
     return sd, sdf, bary_id
+
+
+# -- pointwise images of quotient maps ---------------------------------------
+
+
+def cell_at(m: CellMap, s: Simplex, t: Fraction) -> Cell:
+    """Graph cell containing the image of (the part of) s at value t."""
+    lo, hi = range_of(m.h, s)
+    if not lo <= t <= hi:
+        raise ValueError(f"simplex {s} does not meet value {t}")
+    return m.assignment[s][m.slot_of(t)]
+
+
+def point_of_cell(m: CellMap, cell: Cell, t: Fraction) -> GraphPoint:
+    if cell[0] == "n":
+        return GraphPoint(node=cell[1])
+    return point_on_edge(m.target, cell[1], t)
+
+
+def point_image(m: CellMap, s: Simplex, t: Fraction) -> GraphPoint:
+    return point_of_cell(m, cell_at(m, s, t), t)
+
+
+def half_containing(gc: GraphComplex, e: int, t: Fraction) -> Simplex:
+    """Half simplex of edge e of a complexified graph whose value range
+    contains t."""
+    lo, hi = gc.graph.edges[e]
+    a, b, mid = gc.node_vertex[lo], gc.node_vertex[hi], gc.mid_vertex[e]
+    if not gc.values[a] <= t <= gc.values[b]:
+        raise ValueError(f"value {format_scalar(t)} outside edge {e}")
+    return tuple(sorted((a, mid) if t <= gc.values[mid] else (mid, b)))
+
+
+def image_point(m: CellMap, gc: GraphComplex, gp: GraphPoint) -> GraphPoint:
+    """Image of the point gp of gc's graph under m, a map out of the
+    complexified graph gc."""
+    if gp.is_node:
+        v = gc.node_vertex[gp.node]
+        return point_image(m, (v,), m.h[v])
+    half = half_containing(gc, gp.edge, gp.t)
+    a, b = half
+    va, vb = gc.values[a], gc.values[b]
+    t = m.h[a] + (m.h[b] - m.h[a]) * (gp.t - va) / (vb - va)
+    return point_image(m, half, t)
 
 
 # -- exact linear algebra and polytope vertices ------------------------------

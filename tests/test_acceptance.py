@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from reebedit.category import pullback, triangulate_limit, limit_projection
+from reebedit.category import compose, pullback, triangulate_limit, limit_projection
 from reebedit.metrics import _cylinder_candidates
 from reebedit.editdist import (
     build_homotopy_zigzag,
@@ -26,7 +26,7 @@ from reebedit.editdist import (
 )
 from reebedit.generators import circle, cylinder, random_instance
 from reebedit.graphs import GraphPoint, graph_isomorphic, minimalize
-from reebedit.maps import compose, verify_reeb_quotient
+from reebedit.maps import verify_reeb_quotient
 from reebedit.metrics import d_matrix, distortion
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map, reeb_of_graph

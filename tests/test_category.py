@@ -23,12 +23,12 @@ from reebedit.editdist import (
 )
 from reebedit.generators import cylinder, random_instance
 from reebedit.geometry import pulling_triangulation
-from reebedit.graphs import graph_isomorphic, minimalize
+from reebedit.graphs import complexify, graph_isomorphic, minimalize
 from reebedit.maps import MonotonePL, verify_reeb_quotient
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map
 
-from oracles import polytope_vertices
+from oracles import image_point, point_image, polytope_vertices
 from test_geometry import geometric_pulling_triangulation, tight_sets
 
 F = Fraction
@@ -355,13 +355,14 @@ def test_induced_map_commutes_with_quotients_property(seed, nverts, kind):
     # m o p_f == p_g on the shared source, read pointwise at the middle of
     # every slot of every maximal simplex from the three maps' assignments
     for p_f, p_g, xi in _reparam_triples(seed, nverts, kind):
-        m = induced_map(p_f, p_g, xi)
+        gc = complexify(p_f.target)
+        m = induced_map(p_f, p_g, xi, gc)
         for s in p_f.source.maximal_simplices():
             for slot in p_f.slots_of(s):
                 lo, hi = p_f.slot_range(slot)
                 u = (lo + hi) / 2
-                assert m.image_point(p_f.point_image(s, u)) == p_g.point_image(
-                    s, xi(u)
+                assert image_point(m, gc, point_image(p_f, s, u)) == point_image(
+                    p_g, s, xi(u)
                 ), (s, u)
 
 

@@ -222,6 +222,32 @@ def test_homotopy_command(tmp_path, capsys):
     assert len(witness["lambdas"]) == len(witness["graphs"])
 
 
+@pytest.mark.parametrize("command", ["distortion", "homotopy", "reeb"])
+def test_unwritable_output_exits_2_with_nothing_printed(command, tmp_path, capsys):
+    # each command writes its file before it prints its report
+    f_path, g_path = _cyl_files(tmp_path, capsys)
+    missing = str(tmp_path / "missing" / "out")
+    argv = {
+        "distortion": ("distortion", "-n", "4", "--csv", missing),
+        "homotopy": ("homotopy", f_path, g_path, "-o", missing),
+        "reeb": ("reeb", f_path, "--certify", "-o", missing),
+    }[command]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2]")
+
+
+def test_reeb_certify_to_file(tmp_path, capsys):
+    f_path, _ = _cyl_files(tmp_path, capsys)
+    code, want, _ = _run(capsys, "reeb", f_path, "--certify")
+    r_path = tmp_path / "rf.json"
+    code, out, _ = _run(capsys, "reeb", f_path, "--certify", "-o", str(r_path))
+    assert code == 0
+    report, text = want.split("\n", 1)
+    assert out == report + "\n"
+    assert r_path.read_text() == text
+
+
 def test_homotopy_witness_lambdas_are_breakpoints(tmp_path, capsys):
     f_path = tmp_path / "f.json"
     g_path = tmp_path / "g.json"

@@ -28,6 +28,8 @@ from reebedit.maps import CertificationError, MonotonePL, verify_reeb_quotient
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map
 
+from oracles import range_of
+
 F = Fraction
 
 
@@ -123,7 +125,8 @@ def test_compose_couplings_with_constant_middle_triangle(seed):
     assert max(len(s) for s in comp.p_f.source.simplices) == 5
     for m in (c1.p_f, c1.p_g, c2.p_g, comp.p_f, comp.p_g):
         assert verify_reeb_quotient(m).ok
-    gap = max(abs(f.max() - h.max()), abs(f.min() - h.min()))
+    (f_lo, f_hi), (h_lo, h_hi) = (range_of(d.values, cx.vertices) for d in (f, h))
+    gap = max(abs(f_hi - h_hi), abs(f_lo - h_lo))
     b1, b2 = coupling_bound(c1), coupling_bound(c2)
     assert gap <= coupling_bound(comp) <= b1 + b2
 

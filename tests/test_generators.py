@@ -19,8 +19,8 @@ def test_cylinder_structure():
     for s in cx.simplices:
         counts[len(s)] = counts.get(len(s), 0) + 1
     assert counts[1] - counts[2] + counts[3] == 0
-    assert f.min() == F(-1) and f.max() == F(1)
-    assert g.min() == F(-1) and g.max() == F(1)
+    assert min(f.values.values()) == F(-1) and max(f.values.values()) == F(1)
+    assert min(g.values.values()) == F(-1) and max(g.values.values()) == F(1)
     # g separates the two boundary circles: f-range matches on both sections
     for v in cx.vertices:
         assert F(-1) <= f(v) <= F(1)
@@ -43,7 +43,7 @@ def test_circle_path_point():
     cx, f = circle(6)
     assert cx.is_connected()
     assert len(cx.vertices) == 12  # 2n vertices around the loop
-    assert f.min() == F(-1) and f.max() == F(1)
+    assert min(f.values.values()) == F(-1) and max(f.values.values()) == F(1)
 
     cx, f = path(4)
     assert cx.is_connected()
@@ -51,7 +51,7 @@ def test_circle_path_point():
 
     cx, f = point(F(7))
     assert len(cx.vertices) == 1
-    assert f.min() == F(7)
+    assert min(f.values.values()) == F(7)
 
 
 def test_random_instance_deterministic_and_connected():

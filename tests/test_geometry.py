@@ -1,12 +1,7 @@
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from reebedit import maps
-from reebedit.generators import random_instance
 from reebedit.geometry import pulling_triangulation, simplex_slice
 
 from oracles import dot, polytope_vertices, rref, solve_affine
@@ -168,63 +163,3 @@ def test_pulling_triangulation_of_a_square_and_a_prism():
 def test_pulling_triangulation_without_facets_raises():
     with pytest.raises(ValueError, match="found no facet"):
         pulling_triangulation([0, 1, 2], [frozenset({0, 1, 2})])
-
-
-def _slabs(cx, h, cuts):
-    """(simplex, a, b) per slab subdivide_at_levels cuts, in its order."""
-    out = []
-    for s in cx.maximal_simplices():
-        lo, hi = min(h[v] for v in s), max(h[v] for v in s)
-        inner = sorted(c for c in cuts if lo < c < hi)
-        if inner:
-            bounds = [lo] + inner + [hi]
-            out += [(s, a, b) for a, b in zip(bounds, bounds[1:])]
-    return out
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), nverts=st.integers(4, 7))
-def test_slab_faces_and_triangulation_match_geometric_oracle_property(seed, nverts):
-    # every slab subdivide_at_levels cuts a simplex into, at random cut
-    # sets: its vertices against polytope_vertices on the slab's own
-    # inequalities, the tight sets it hands pulling_triangulation against
-    # exact dot products there, and its simplices, in order, against the
-    # geometric scan
-    cx, f, _ = random_instance(seed, nverts=nverts, triangles=3)
-    rng = random.Random(seed)
-    cuts = {F(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))}
-    h = dict(f.values)
-    calls = []
-
-    def recorded(keys, faces):
-        out = pulling_triangulation(keys, faces)
-        calls.append((sorted(keys), faces, out))
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(maps, "pulling_triangulation", recorded)
-        _, new_h, _, host = maps.subdivide_at_levels(cx, h, cuts)
-    slabs = _slabs(cx, h, cuts)
-    assert len(calls) == len(slabs)
-    for (s, a, b), (keys, faces, out) in zip(slabs, calls):
-        d = len(s)
-        hs = [h[v] for v in s]
-        ineqs = [(tuple(F(-int(i == j)) for i in range(d)), F(0)) for j in range(d)]
-        ineqs += [(tuple(-x for x in hs), -a), (tuple(hs), b)]
-        pts = polytope_vertices(d, [(tuple(F(1) for _ in s), F(1))], ineqs)
-        # barycentric coordinates on s of each key: a vertex of s, or a cut
-        # vertex at value new_h[k] on the edge host[(k,)] of s
-        verts = {}
-        for k in keys:
-            edge = host[(k,)]
-            x = [F(0)] * d
-            if len(edge) == 1:
-                x[s.index(k)] = F(1)
-            else:
-                u, w = edge
-                lam = (new_h[k] - h[u]) / (h[w] - h[u])
-                x[s.index(u)], x[s.index(w)] = 1 - lam, lam
-            verts[k] = tuple(x)
-        assert sorted(verts.values()) == pts
-        assert faces == tight_sets(verts, ineqs)
-        assert out == geometric_pulling_triangulation(verts, ineqs)

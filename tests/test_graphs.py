@@ -11,6 +11,8 @@ from reebedit.graphs import (
     point_on_edge,
 )
 
+from oracles import half_containing
+
 F = Fraction
 
 
@@ -54,11 +56,11 @@ def test_complexify_round_trip():
     for n in g.nodes:
         assert gc.values[gc.node_vertex[n]] == g.value(n)
     for e in range(len(g.edges)):
-        lh, rh = gc.halves(e)
-        assert len(lh) == 2 and len(rh) == 2
+        lh, rh = (half_containing(gc, e, t) for t in g.edge_range(e))
+        assert len(lh) == 2 and len(rh) == 2 and lh != rh
         assert gc.values[gc.mid_vertex[e]] == F(0)
         assert gc.host[lh] == ("e", e) and gc.host[rh] == ("e", e)
-    assert gc.half_containing(0, F(-1, 2)) == gc.halves(0)[0]
+    assert half_containing(gc, 0, F(-1, 2)) == half_containing(gc, 0, F(-1))
 
 
 def test_minimalize_smooths_degree_two_nodes():

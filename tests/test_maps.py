@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reebedit.category import limit_projection, pullback, triangulate_limit
+from reebedit.category import compose, limit_projection, pullback, triangulate_limit
 from reebedit.editdist import coupling
 from reebedit.generators import cylinder, random_instance
-from reebedit.graphs import GraphPoint, ReebGraph, complexify, graph_isomorphic, minimalize
+from reebedit.graphs import ReebGraph, complexify, graph_isomorphic, minimalize
 from reebedit.maps import (
     CellMap,
     MonotonePL,
-    _fold_values,
-    _preimage_of_value,
-    _sweep,
     cellmap_from_hosting,
-    compose,
     restrict_cellmap,
-    subdivide_at_levels,
     verify_reeb_quotient,
 )
 from reebedit.plcore import PLFunction, SimplicialComplex
 from reebedit.reeb import compute_reeb, graph_identity_map, reeb_of_graph
+
+from oracles import cell_at, point_image, range_of
 
 F = Fraction
 
@@ -41,7 +38,7 @@ def test_slots_and_cells_of_quotient():
     for cx, f, _ in (random_instance(3, nverts=6), cylinder(6)):
         r, p = compute_reeb(cx, f)
         for s in cx.simplices:
-            lo, hi = p.simplex_range(s)
+            lo, hi = range_of(p.h, s)
             slots = list(p.slots_of(s))
             assert slots, f"simplex {s} has no slots"
             # the slots are one contiguous run
@@ -53,9 +50,9 @@ def test_slots_and_cells_of_quotient():
             for slot, (a, b) in zip(slots, ranges):
                 assert lo <= a <= b <= hi
                 assert p.slot_of((a + b) / 2) == slot
-            # cell_at agrees with the slot assignment at level values
+            # cell_at reads the slot assignment at any value of the range
             t = (lo + hi) / 2
-            cell = p.cell_at(s, t)
+            cell = cell_at(p, s, t)
             assert cell[0] in ("n", "e")
 
 
@@ -63,7 +60,7 @@ def test_vertex_image_values_match():
     cx, f, _ = random_instance(4, nverts=6)
     r, p = compute_reeb(cx, f)
     for v in cx.vertices:
-        gp = p.vertex_image(v)
+        gp = point_image(p, (v,), p.h[v])
         assert gp.value(r) == f(v) == p.h[v]
 
 
@@ -243,42 +240,40 @@ def test_verifier_wellformedness_witnesses_are_exact(edits, want):
     assert [(v.axiom, v.witness) for v in cert.violations] == want
 
 
-def test_subdivide_at_levels_slices_exactly():
-    cx = SimplicialComplex.from_simplices([(0, 1, 2)])
-    h = {0: F(0), 1: F(2), 2: F(4)}
-    g = PLFunction(cx, {0: F(1), 1: F(0), 2: F(3)})
-    sub, new_h, extras, host = subdivide_at_levels(cx, h, {F(1), F(3)}, [g.values])
-    # every new simplex lies within one elementary interval of the cuts
-    for s in sub.simplices:
-        lo = min(new_h[v] for v in s)
-        hi = max(new_h[v] for v in s)
-        assert not any(lo < c < hi for c in (F(1), F(3)))
-        assert host[s] in cx.simplices
-    # the secondary function is interpolated linearly: check one cut vertex
-    for v in sub.vertices:
-        if v not in h and new_h[v] == F(1):
-            # v sits at h = 1 on an old simplex; g must interpolate there
-            assert F(0) <= extras[0][v] <= F(3)
-    assert set(new_h[v] for v in sub.vertices) >= {F(1), F(3)}
+def _identity_pullback(q):
+    """The triangulated pullback of q against the identity of its target:
+    the subdivision of q's source that compose projects."""
+    return triangulate_limit(pullback(q, graph_identity_map(q.target)))
+
+
+def _at_factor_0(T, values):
+    """values, on q's source, at each pullback vertex's factor-0 location."""
+    return {
+        vid: sum((c * values[v] for v, c in locs[0].items()), F(0))
+        for vid, locs in T.limit.locations.items()
+    }
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_subdivide_at_levels_tiles_each_triangle(seed):
-    # the slab pieces of a triangle, drawn in the plane through two
-    # interpolated coordinate functions, have the triangle's total area
+    # compose subdivides q's source at the levels of its target's
+    # complexification: the pieces over a triangle, drawn in the plane
+    # through two coordinate functions interpolated at their factor-0
+    # locations, have the triangle's total area
     cx, f, _ = random_instance(seed, nverts=6, triangles=4)
+    r, q = compute_reeb(cx, f)
     rng = random.Random(seed)
     xy = [{v: F(rng.randint(-9, 9)) for v in cx.vertices} for _ in range(2)]
-    cuts = {F(rng.randint(-16, 16), rng.randint(1, 4)) for _ in range(4)}
 
     def area(s, x, y):
         (a, b, c) = s
         return abs((x[b] - x[a]) * (y[c] - y[a]) - (x[c] - x[a]) * (y[b] - y[a])) / 2
 
-    sub, _, (x, y), host = subdivide_at_levels(cx, dict(f.values), cuts, xy)
-    assert set(cx.vertices) <= set(sub.vertices)
+    T = _identity_pullback(q)
+    assert compose(reeb_of_graph(r)[1], q).source == T.complex
+    x, y = (_at_factor_0(T, d) for d in xy)
     for t in (s for s in cx.simplices if len(s) == 3):
-        pieces = [s for s in sub.simplices if len(s) == 3 and host[s] == t]
+        pieces = [s for s in T.complex.simplices if len(s) == 3 and T.supports[s][0] == t]
         assert sum(area(s, x, y) for s in pieces) == area(t, *xy)
 
 
@@ -290,10 +285,10 @@ def test_compose_with_graph_quotient_is_certified(seed):
     comp = compose(p, q)
     cert = verify_reeb_quotient(comp)
     assert cert.ok, cert.summary()
-    assert comp.source.simplices == q.source.simplices
     # values are preserved through the composite
-    for v in cx.vertices:
-        assert comp.h[v] == q.h[v]
+    T = _identity_pullback(q)
+    assert comp.source == T.complex
+    assert comp.h == _at_factor_0(T, q.h)
 
 
 def test_compose_with_identity_is_unchanged_on_values():
@@ -302,10 +297,17 @@ def test_compose_with_identity_is_unchanged_on_values():
     ident = graph_identity_map(r)
     comp = compose(ident, q)
     assert verify_reeb_quotient(comp).ok
-    assert comp.h == q.h
+    assert comp.h == _at_factor_0(_identity_pullback(q), q.h)
     assert graph_isomorphic(
         minimalize(comp.target).graph, minimalize(r).graph
     )
+
+
+def test_compose_rejects_a_map_out_of_another_graph():
+    cx, f, _ = random_instance(11, nverts=5)
+    _, q = compute_reeb(cx, f)
+    with pytest.raises(ValueError, match="codomain of q is not the domain of p"):
+        compose(q, q)
 
 
 def test_monotone_pl_evaluation_and_preimage():
@@ -345,7 +347,7 @@ def _assert_restriction_agrees(m, out, host):
         for slot in out.slots_of(piece):
             a, b = out.slot_range(slot)
             t = (a + b) / 2
-            assert out.point_image(piece, t) == m.point_image(host[piece], t), (
+            assert point_image(out, piece, t) == point_image(m, host[piece], t), (
                 piece,
                 slot,
             )
@@ -382,22 +384,19 @@ def test_limit_projection_restriction_agrees_pointwise_property(
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), nverts=st.integers(5, 7))
 def test_fold_restriction_agrees_pointwise_property(seed, nverts):
-    # the slicing step of compose: cut q's source at the values where a
-    # second function on its Reeb graph folds
+    # compose with a second function on q's Reeb graph that folds: the
+    # composite is p restricted to the identity pullback's subdivision
     cx, f, _ = random_instance(seed, nverts=nverts)
     r, q = compute_reeb(cx, f)
     gc = complexify(r)
     rng = random.Random(seed)
     values = {w: F(rng.randint(-6, 6), rng.randint(1, 2)) for w in gc.complex.vertices}
     _, p = compute_reeb(gc.complex, PLFunction(gc.complex, values))
-    p.source_graph = gc
-    folds = set()
-    for s in cx.maximal_simplices():
-        folds |= _fold_values(*_sweep(q, p, s))
-    sliced, nh, _, host = subdivide_at_levels(cx, q.h, folds)
-    out = restrict_cellmap(q, sliced, nh, host)
-    _assert_restriction_agrees(q, out, host)
-    assert verify_reeb_quotient(out).ok
+    comp = compose(p, q)
+    assert verify_reeb_quotient(comp).ok
+    T = _identity_pullback(q)
+    host = {s: T.supports[s][1] for s in T.complex.simplices}
+    _assert_restriction_agrees(p, comp, host)
 
 
 def _edge_map(cells, extra=()):
@@ -480,15 +479,11 @@ def test_preimage_by_bisection_matches_scan_property(us, data):
             st.fractions(phi[0] - 1, phi[-1] + 1, max_denominator=2),
         )
     )
-    reversed_grid = data.draw(st.booleans())
-    if reversed_grid:
-        grid = grid[::-1]  # a decreasing sweep, read from its low end
+    m = MonotonePL(tuple(zip(grid, phi)))
     try:
         want = _preimage_by_scan(grid, phi, t)
     except ValueError:
         with pytest.raises(ValueError, match="not attained"):
-            _preimage_of_value(grid, phi, t)
+            m.preimage(t)
         return
-    assert _preimage_of_value(grid, phi, t) == want
-    if not reversed_grid:
-        assert MonotonePL(tuple(zip(grid, phi))).preimage(t) == want
+    assert m.preimage(t) == want

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from reebedit.generators import cylinder, random_instance
-from reebedit.graphs import GraphPoint, ReebGraph, minimalize, point_on_edge
+from reebedit.graphs import GraphPoint, ReebGraph, point_on_edge
 from reebedit.metrics import (
     PLGraphMap,
     d_f,

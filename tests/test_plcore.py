@@ -11,7 +11,7 @@ from reebedit.plcore import (
     support_components,
 )
 
-from oracles import barycentric_subdivision, interval_preimage_components
+from oracles import barycentric_subdivision, interval_preimage_components, range_of
 
 
 def test_parse_scalar_forms():
@@ -59,9 +59,8 @@ def test_complex_connectivity():
 def test_plfunction_ranges():
     cx = SimplicialComplex.from_simplices([(0, 1, 2)])
     f = PLFunction(cx, {0: Fraction(0), 1: Fraction(2), 2: Fraction(-1)})
-    assert f.range_of((0, 1, 2)) == (Fraction(-1), Fraction(2))
-    assert f.min() == Fraction(-1)
-    assert f.max() == Fraction(2)
+    assert range_of(f.values, (0, 1, 2)) == (Fraction(-1), Fraction(2))
+    assert range_of(f.values, (0, 1)) == (Fraction(0), Fraction(2))
 
 
 def _path(values):
@@ -75,7 +74,7 @@ def test_level_components_counts():
     cx, f = _path([0, 2, 1, 2, 0])
 
     def count(t):
-        level = [s for s in cx.simplices if f.range_of(s)[0] <= t <= f.range_of(s)[1]]
+        level = [s for s in cx.simplices if range_of(f.values, s)[0] <= t <= range_of(f.values, s)[1]]
         return len(support_components(cx, level))
 
     assert count(Fraction(1, 2)) == 2
@@ -105,4 +104,4 @@ def test_barycentric_subdivision_structure():
     for s, v in bary.items():
         expect = sum(f(w) for w in s) / len(s)
         assert f2(v) == expect
-    assert f2.min() == f.min() and f2.max() == f.max()
+    assert range_of(f2.values, sd.vertices) == range_of(f.values, cx.vertices)

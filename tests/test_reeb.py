@@ -10,7 +10,7 @@ from reebedit.maps import verify_reeb_quotient
 from reebedit.plcore import PLFunction, SimplicialComplex
 from reebedit.reeb import compute_reeb, graph_identity_map, reeb_of_graph
 
-from oracles import barycentric_subdivision
+from oracles import barycentric_subdivision, range_of
 
 F = Fraction
 
@@ -51,7 +51,7 @@ def naive_reeb(cx: SimplicialComplex, f: PLFunction) -> ReebGraph:
     node_of_level = []
     nid = 0
     for t in crit:
-        live = [s for s in cx.simplices if f.range_of(s)[0] <= t <= f.range_of(s)[1]]
+        live = [s for s in cx.simplices if range_of(f.values, s)[0] <= t <= range_of(f.values, s)[1]]
         table = {}
         for comp in _components(cx.simplices, live):
             for s in comp:
@@ -63,7 +63,7 @@ def naive_reeb(cx: SimplicialComplex, f: PLFunction) -> ReebGraph:
     for k in range(len(crit) - 1):
         mid = (crit[k] + crit[k + 1]) / 2
         live = [
-            s for s in cx.simplices if f.range_of(s)[0] <= mid <= f.range_of(s)[1]
+            s for s in cx.simplices if range_of(f.values, s)[0] <= mid <= range_of(f.values, s)[1]
         ]
         for comp in _components(cx.simplices, live):
             s = next(iter(comp))
@@ -113,7 +113,7 @@ def test_reeb_of_point_and_path():
     cx, f = path(5)
     r, p = compute_reeb(cx, f)
     assert r.betti1() == 0
-    assert r.value_range() == (f.min(), f.max())
+    assert r.value_range() == range_of(f.values, cx.vertices)
     assert verify_reeb_quotient(p).ok
 
 
