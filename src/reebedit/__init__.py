@@ -9,7 +9,6 @@ from .category import (
     triangulate_limit,
 )
 from .editdist import (
-    Coupling,
     HomotopyCertificate,
     ZigzagDiagram,
     build_homotopy_zigzag,
@@ -22,7 +21,6 @@ from .editdist import (
     point_graph,
     product_coupling,
     zigzag_cost,
-    zigzag_from_coupling,
 )
 from .generators import circle, cylinder, path, point, random_instance
 from .graphs import (
@@ -57,7 +55,6 @@ __all__ = [
     "CellMap",
     "Certificate",
     "CertificationError",
-    "Coupling",
     "GraphPoint",
     "HomotopyCertificate",
     "MonotonePL",
@@ -99,5 +96,4 @@ __all__ = [
     "triangulate_limit",
     "verify_reeb_quotient",
     "zigzag_cost",
-    "zigzag_from_coupling",
 ]

@@ -155,16 +155,30 @@ def _meet(
     return max(a[0], b[0]), min(a[1], b[1])
 
 
+def _carrier(m: CellMap, p: Piece, mode: tuple, lo: Scalar, hi: Scalar) -> Simplex:
+    """The face of p's simplex that its slices at lo and hi span: the face
+    at lo when lo == hi is an end of the simplex's levels, else the simplex."""
+    node = mode[0] == "node"
+    slot = m.node_slot[mode[1]] if node else p.slot if lo < hi else m.slot_of(lo)
+    ranks = [level_slot(m.vertex_rank[v]) for v in p.simplex]
+    if min(ranks) < slot < max(ranks):
+        return p.simplex
+    return tuple(v for v, r in zip(p.simplex, ranks) if r == slot)
+
+
 def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
     """Fiber product of p1 and p2 over their common target graph.
 
     Cells come in the order of p1's pieces, then p2's pieces, then the
     modes of each pair; only pairs whose cells' closures share a node are
-    visited, and a cell whose vertex set repeats an earlier one is
-    dropped.  The vertices depend only on the two simplices and the value
-    range [lo, hi], so a pair that repeats an earlier pair's is skipped
-    before its vertices are built.  Past CELL_BUDGET cells the enumeration
-    raises RuntimeError.
+    visited.  A cell whose vertex set repeats an earlier one is skipped
+    before its vertices are built, by the key (carrier of a, carrier of b,
+    lo, hi).  The key fixes the vertex set: products of the slices at lo
+    and at hi, which depend only on the carriers.  The vertex set fixes the
+    key: lo and hi are its extreme values, and a carrier is the union of
+    its factor's supports, since a slice strictly inside a simplex's value
+    range meets every vertex and no vertex value lies strictly inside a
+    slot.  Past CELL_BUDGET cells the enumeration raises RuntimeError.
     """
     if not _same_graph(p1.target, p2.target):
         raise ValueError("pullback requires a common target")
@@ -177,8 +191,7 @@ def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
         for n in _closure_nodes(g, b.cell):
             near[n].add(i)
     cells: list[LimitCell] = []
-    tried: set[tuple] = set()
-    seen: set[frozenset] = set()
+    seen: set[tuple] = set()
     for a in _pieces(p1):
         d = len(a.simplex)
         for i in sorted(set().union(*(near[n] for n in _closure_nodes(g, a.cell)))):
@@ -187,10 +200,14 @@ def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
                 lo, hi = _meet(a.span, b.span)
                 if mode[0] == "node":
                     lo, hi = _meet((lo, hi), (g.value(mode[1]),) * 2)
-                key = (a.simplex, b.simplex, lo, hi)
-                if lo > hi or key in tried:
+                if lo > hi:
                     continue
-                tried.add(key)
+                key = (
+                    _carrier(p1, a, mode, lo, hi), _carrier(p2, b, mode, lo, hi), lo, hi
+                )
+                if key in seen:
+                    continue
+                seen.add(key)
                 verts = _fiber_product_vertices(p1, p2, a, b, lo, hi)
                 vkeys: list[VertexKey] = [
                     (
@@ -199,10 +216,6 @@ def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
                     )
                     for pt, _ in verts
                 ]
-                sig = frozenset(vkeys)
-                if sig in seen:
-                    continue
-                seen.add(sig)
                 faces = _cell_faces(a, b, vkeys, [t for _, t in verts])
                 cells.append(LimitCell((a, b), mode, vkeys, faces))
                 if len(cells) > CELL_BUDGET:
@@ -234,29 +247,18 @@ def triangulate_limit(L: LimitCellComplex) -> TriangulatedLimit:
     Keys are global and the pulling recursion is intrinsic to each face, so
     neighboring cells agree on shared faces.
     """
-    simplices: set[Simplex] = set()
-    supports: dict[Simplex, tuple[Simplex, Simplex]] = {}
-    for cell in L.cells:
-        tris = pulling_triangulation(cell.vkeys, cell.faces)
-        for tri in tris:
-            ids = tuple(sorted(L.vertex_ids[key] for key in tri))
-            simplices.add(ids)
-            if ids not in supports:
-                sup = []
-                for f in (0, 1):
-                    vs: set[int] = set()
-                    for vid in ids:
-                        vs.update(L.locations[vid][f])
-                    sup.append(tuple(sorted(vs)))
-                supports[ids] = tuple(sup)
+    simplices = {
+        tuple(sorted(L.vertex_ids[key] for key in tri))
+        for cell in L.cells
+        for tri in pulling_triangulation(cell.vkeys, cell.faces)
+    }
     complex = SimplicialComplex.from_simplices(sorted(simplices))
-    # faces need supports too
-    for s in complex.simplices:
-        if s not in supports:
-            supports[s] = tuple(
-                tuple(sorted({v for vid in s for v in L.locations[vid][f]}))
-                for f in (0, 1)
-            )
+    supports = {
+        s: tuple(
+            tuple(sorted({v for vid in s for v in L.locations[vid][f]})) for f in (0, 1)
+        )
+        for s in complex.simplices
+    }
     return TriangulatedLimit(L, complex, supports)
 
 

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 axiom/certification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import generators, serialize
@@ -13,8 +14,6 @@ from .editdist import (
     coupling,
     coupling_bound,
     point_distance,
-    zigzag_cost,
-    zigzag_from_coupling,
 )
 from .graphs import GraphPoint, ReebGraph, point_on_edge
 from .maps import CertificationError, verify_reeb_quotient
@@ -76,10 +75,16 @@ def cmd_generate(args) -> int:
         print(f"generator {args.kind} has a single function", file=sys.stderr)
         return USAGE_ERROR
     out = serialize.dump_json(serialize.instance_to_dict(cx, f), args.output)
+    if args.second_output:
+        try:
+            serialize.dump_json(serialize.instance_to_dict(cx, g), args.second_output)
+        except OSError:
+            # both files or neither
+            if args.output:
+                os.remove(args.output)
+            raise
     if not args.output:
         sys.stdout.write(out)
-    if args.second_output:
-        serialize.dump_json(serialize.instance_to_dict(cx, g), args.second_output)
     return 0
 
 
@@ -169,26 +174,8 @@ def cmd_bound(args) -> int:
     if pair is None:
         return USAGE_ERROR
     cx, f, g = pair
-    _, pf = compute_reeb(cx, f)
-    _, pg = compute_reeb(cx, g)
-    c = coupling(pf, pg)
+    c = coupling(compute_reeb(cx, f)[1], compute_reeb(cx, g)[1])
     print(format_scalar(coupling_bound(c)))
-    return 0
-
-
-def cmd_zigzag(args) -> int:
-    pair = _load_pair(args.instance_f, args.instance_g, "zigzag")
-    if pair is None:
-        return USAGE_ERROR
-    cx, f, g = pair
-    _, pf = compute_reeb(cx, f)
-    _, pg = compute_reeb(cx, g)
-    c = coupling(pf, pg)
-    z = zigzag_from_coupling(c)
-    if args.certify:
-        z.validate()
-        print("zigzag certified")
-    print(format_scalar(zigzag_cost(z)))
     return 0
 
 
@@ -261,12 +248,6 @@ def main(argv=None) -> int:
     p.add_argument("second", nargs="?", help="second instance on the same complex")
     p.add_argument("--point", help="distance to the one-point graph at this value")
     p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("zigzag", help="one-space zigzag cost of a coupling")
-    p.add_argument("instance_f")
-    p.add_argument("instance_g")
-    p.add_argument("--certify", action="store_true")
-    p.set_defaults(func=cmd_zigzag)
 
     p = sub.add_parser("homotopy", help="straight-line homotopy zigzag bound")
     p.add_argument("instance_f")

@@ -1,11 +1,12 @@
-"""Couplings, zigzag diagrams, and the straight-line-homotopy construction.
+"""Zigzag diagrams, couplings, and the straight-line-homotopy construction.
 
 Every result here is a certified *upper bound* for the universal edit
-distance between two Reeb graphs, shipped with the witness that realizes
-it: a coupling (one space mapping onto both graphs) or a zigzag diagram
-(a chain of such spaces).  The defining infimum ranges over all possible
-Reeb domains and is not enumerable, so no exact values are claimed except
-where a matching lower bound is available (point targets).
+distance between two Reeb graphs, shipped with its witness: a zigzag
+diagram R_1 <- X_1 -> R_2 <- ... -> R_n of quotient maps, certified by
+ZigzagDiagram.validate().  A coupling R_f <- X -> R_g is the one-space
+case.  The defining infimum ranges over all possible Reeb domains and is
+not enumerable, so no exact values are claimed except where a matching
+lower bound is available (point targets).
 
 A zigzag's own cost is exact: the spread of its limit, which is an
 iterated pullback, read at the vertices of its triangulation.  The
@@ -24,7 +25,6 @@ from .graphs import ReebGraph, complexify
 from .maps import (
     Cell,
     CellMap,
-    Certificate,
     CertificationError,
     MonotonePL,
     _same_graph,
@@ -41,42 +41,20 @@ ONE = Fraction(1)
 # -- couplings ---------------------------------------------------------------
 
 
-@dataclass
-class Coupling:
-    """One space with certified quotient maps onto two Reeb graphs."""
-
-    p_f: CellMap
-    p_g: CellMap
-    cert_f: Certificate = field(repr=False, default=None)
-    cert_g: Certificate = field(repr=False, default=None)
+def coupling(p_f: CellMap, p_g: CellMap) -> ZigzagDiagram:
+    """The certified one-space zigzag R_f <- X -> R_g; raises if the sources
+    differ or either map fails the quotient-map axioms."""
+    c = ZigzagDiagram([(p_f, p_g)])
+    c.validate()
+    return c
 
 
-def coupling(p_f: CellMap, p_g: CellMap) -> Coupling:
-    """Assemble and certify a coupling; raises if either map fails the
-    quotient-map axioms or the sources differ."""
-    if p_f.source.simplices != p_g.source.simplices:
-        raise ValueError("coupling maps must share their source space")
-    cert_f = verify_reeb_quotient(p_f)
-    cert_g = verify_reeb_quotient(p_g)
-    for name, cert in (("p_f", cert_f), ("p_g", cert_g)):
-        if not cert.ok:
-            raise CertificationError(
-                f"{name} is not a Reeb quotient map: {cert.summary()}"
-            )
-    return Coupling(p_f, p_g, cert_f, cert_g)
-
-
-def coupling_bound(c: Coupling) -> Scalar:
-    """sup over the coupling space of |f-pullback - g-pullback|, exactly.
-
-    Both pullbacks are linear on every simplex of the shared source, so the
-    supremum of their difference is attained at a vertex.
-    """
-    if c.cert_f is None or not c.cert_f.ok or c.cert_g is None or not c.cert_g.ok:
-        raise ValueError("coupling is not certified; build it with coupling()")
-    return max(
-        abs(c.p_f.h[v] - c.p_g.h[v]) for v in c.p_f.source.vertices
-    )
+def coupling_bound(c: ZigzagDiagram) -> Scalar:
+    """sup over the coupling space of |f-pullback - g-pullback|, exactly:
+    the zero-step case of zigzag_cost."""
+    if c.certificates is None or len(c.maps) != 1:
+        raise ValueError("not a certified coupling; build it with coupling()")
+    return zigzag_cost(c)
 
 
 def point_graph(c: Scalar = ZERO) -> ReebGraph:
@@ -94,16 +72,14 @@ def collapse_map(source: SimplicialComplex, c: Scalar = ZERO) -> CellMap:
     )
 
 
-def product_coupling(r_f: ReebGraph, r_g: ReebGraph) -> Coupling:
+def product_coupling(r_f: ReebGraph, r_g: ReebGraph) -> ZigzagDiagram:
     """The always-available coupling over the product R_f x R_g, realized as
     the pullback over the one-point graph."""
     id_f = graph_identity_map(r_f)
     id_g = graph_identity_map(r_g)
     L = pullback(collapse_map(id_f.source), collapse_map(id_g.source))
     T = triangulate_limit(L)
-    return coupling(
-        limit_projection(T, 0, id_f), limit_projection(T, 1, id_g)
-    )
+    return coupling(limit_projection(T, 0, id_f), limit_projection(T, 1, id_g))
 
 
 def point_distance(r_f: ReebGraph, c: Scalar) -> Scalar:
@@ -115,16 +91,14 @@ def point_distance(r_f: ReebGraph, c: Scalar) -> Scalar:
     return max(abs(v - c) for v in r_f.node_values.values())
 
 
-def compose_couplings(c1: Coupling, c2: Coupling) -> Coupling:
+def compose_couplings(c1: ZigzagDiagram, c2: ZigzagDiagram) -> ZigzagDiagram:
     """Couple R_f with R_h through a shared middle graph R_g by pulling the
     two spaces back over R_g; the new bound is at most the sum of the two."""
-    if not _same_graph(c1.p_g.target, c2.p_f.target):
+    [(p_f, p_g)], [(q_g, q_h)] = c1.maps, c2.maps
+    if not _same_graph(p_g.target, q_g.target):
         raise ValueError("couplings do not share a middle graph")
-    L = pullback(c1.p_g, c2.p_f)
-    T = triangulate_limit(L)
-    return coupling(
-        limit_projection(T, 0, c1.p_f), limit_projection(T, 1, c2.p_g)
-    )
+    T = triangulate_limit(pullback(p_g, q_g))
+    return coupling(limit_projection(T, 0, p_f), limit_projection(T, 1, q_h))
 
 
 # -- zigzag diagrams ---------------------------------------------------------
@@ -132,33 +106,41 @@ def compose_couplings(c1: Coupling, c2: Coupling) -> Coupling:
 
 @dataclass
 class ZigzagDiagram:
-    """R_1 <- X_1 -> R_2 <- ... -> R_n with certified quotient maps."""
+    """R_1 <- X_1 -> R_2 <- ... -> R_n with certified quotient maps; a
+    coupling is the one-space case."""
 
-    graphs: list[ReebGraph]
-    maps: list[tuple[CellMap, CellMap]]  # per space: (to graphs[i], graphs[i+1])
+    maps: list[tuple[CellMap, CellMap]]  # per space: (to R_i, to R_{i+1})
     # homotopy parameter of each graph, when the zigzag comes from a homotopy
     lambdas: Optional[list[Scalar]] = None
+    # per space, the certificates of its two maps; set by validate()
+    certificates: Optional[list[tuple]] = field(default=None, repr=False)
+
+    @property
+    def graphs(self) -> list[ReebGraph]:
+        return [m.target for m, _ in self.maps] + [m.target for _, m in self.maps[-1:]]
 
     def validate(self) -> None:
-        if len(self.graphs) != len(self.maps) + 1:
-            raise ValueError("need one space per consecutive graph pair")
-        if self.lambdas is not None and len(self.lambdas) != len(self.graphs):
+        """Check each space's shape, then certify its two maps once."""
+        if not self.maps:
+            raise ValueError("empty zigzag")
+        if self.lambdas is not None and len(self.lambdas) != len(self.maps) + 1:
             raise ValueError("need one homotopy parameter per graph")
+        certificates = []
         for i, (ml, mr) in enumerate(self.maps):
-            if not _same_graph(ml.target, self.graphs[i]):
-                raise ValueError(f"space {i}: left target is not graph {i}")
-            if not _same_graph(mr.target, self.graphs[i + 1]):
-                raise ValueError(f"space {i}: right target is not graph {i + 1}")
-            for name, m in (("left", ml), ("right", mr)):
-                cert = verify_reeb_quotient(m)
+            if ml.source.simplices != mr.source.simplices:
+                raise ValueError(f"space {i}: the two maps must share their source")
+            if i and not _same_graph(self.maps[i - 1][1].target, ml.target):
+                raise ValueError(
+                    f"space {i}: left target is not the right target of space {i - 1}"
+                )
+            certs = (verify_reeb_quotient(ml), verify_reeb_quotient(mr))
+            for name, cert in zip(("left", "right"), certs):
                 if not cert.ok:
                     raise CertificationError(
                         f"space {i}: {name} map uncertified: {cert.summary()}"
                     )
-
-
-def zigzag_from_coupling(c: Coupling) -> ZigzagDiagram:
-    return ZigzagDiagram([c.p_f.target, c.p_g.target], [(c.p_f, c.p_g)])
+            certificates.append(certs)
+        self.certificates = certificates
 
 
 def zigzag_cost(z: ZigzagDiagram) -> Scalar:
@@ -191,9 +173,8 @@ def zigzag_cost(z: ZigzagDiagram) -> Scalar:
         ]
         m = limit_projection(T, 1, nr)
         columns.append(m.h)
-    return max(
-        max(col[v] for col in columns) - min(col[v] for col in columns) for v in m.h
-    )
+    rows = zip(*(map(col.__getitem__, m.h) for col in columns))
+    return max(max(vs) - min(vs) for vs in rows)
 
 
 # -- straight-line homotopy construction -------------------------------------
@@ -306,12 +287,7 @@ def build_homotopy_zigzag(
         raise ValueError("the homotopy construction needs a connected complex")
     sched = homotopy_breakpoints(complex, f, g)
     cert = _certify_homotopy(complex, f, g, sched)
-    graphs: list[ReebGraph] = []
-    quotients: list[CellMap] = []
-    for lam in sched.lambdas:
-        r, p = compute_reeb(complex, interpolate(f, g, lam))
-        graphs.append(r)
-        quotients.append(p)
+    quotients = [compute_reeb(complex, interpolate(f, g, t))[1] for t in sched.lambdas]
     maps: list[tuple[CellMap, CellMap]] = []
     for i, rho in enumerate(sched.rhos):
         _, p_rho = compute_reeb(complex, interpolate(f, g, rho))
@@ -319,5 +295,5 @@ def build_homotopy_zigzag(
         left = induced_map(p_rho, quotients[i], sched.chis[i], gc)
         right = induced_map(p_rho, quotients[i + 1], sched.xis[i], gc)
         maps.append((left, right))
-    return ZigzagDiagram(graphs, maps, sched.lambdas), cert
+    return ZigzagDiagram(maps, sched.lambdas), cert
 

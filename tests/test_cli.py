@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import shlex
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -152,14 +154,6 @@ def test_bound_point_mode_rejects_a_second_instance(tmp_path, capsys):
     assert "not both" in err
 
 
-def test_zigzag_command(tmp_path, capsys):
-    f_path, g_path = _cyl_files(tmp_path, capsys)
-    code, out, _ = _run(capsys, "zigzag", f_path, g_path, "--certify")
-    assert code == 0
-    assert "zigzag certified" in out
-    assert out.strip().endswith("1")
-
-
 def test_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
     from reebedit import editdist
     from reebedit.maps import Certificate, Violation
@@ -167,11 +161,9 @@ def test_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
     failed = Certificate(False, (), (Violation("fiber", "split fiber"),))
     monkeypatch.setattr(editdist, "verify_reeb_quotient", lambda m: failed)
     f_path, g_path = _cyl_files(tmp_path, capsys)
-    for argv in (("bound", f_path, g_path), ("zigzag", f_path, g_path)):
-        code, out, err = _run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "[fiber] split fiber" in err
+    code, out, err = _run(capsys, "bound", f_path, g_path)
+    assert (code, out) == (1, "")
+    assert "[fiber] split fiber" in err
 
 
 def test_distortion_command(tmp_path, capsys):
@@ -235,6 +227,19 @@ def test_unwritable_output_exits_2_with_nothing_printed(command, tmp_path, capsy
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: [Errno 2]")
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_unwritable_second_output_writes_neither_instance(to_file, tmp_path, capsys):
+    f_path = tmp_path / "f.json"
+    missing = str(tmp_path / "missing" / "g.json")
+    argv = ["generate", "cylinder", "-n", "4", "--second-output", missing]
+    if to_file:
+        argv += ["-o", str(f_path)]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2]")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reeb_certify_to_file(tmp_path, capsys):
@@ -322,7 +327,6 @@ def test_pair_commands_reject_two_complexes(tmp_path, capsys):
     other.write_text(json.dumps(instance_to_dict(cx, f)))
     for argv, what in (
         (("bound", f_path, str(other)), "coupling bound"),
-        (("zigzag", f_path, str(other)), "zigzag"),
         (("homotopy", f_path, str(other)), "homotopy"),
     ):
         code, out, err = _run(capsys, *argv)
@@ -469,3 +473,20 @@ def test_malformed_graph_json_exits_2_property(data):
     code, out, err = _main_on_json(data, "bound", "{}", "--point", "0")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the README's "Command line" block, in order."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_line_examples_exit_0(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        assert argv[0] == "reebedit"
+        code, _, err = _run(capsys, *argv[1:])
+        assert (argv, code, err) == (argv, 0, "")

@@ -20,7 +20,6 @@ from reebedit.editdist import (
     point_graph,
     product_coupling,
     zigzag_cost,
-    zigzag_from_coupling,
 )
 from reebedit.generators import cylinder, random_instance
 from reebedit.category import induced_map
@@ -99,10 +98,9 @@ def test_compose_couplings_certified_and_triangle():
     _, ph = compute_reeb(cx, h)
     c2 = coupling(pg, ph)
     # share the middle graph exactly
-    c1 = coupling(c1.p_f, pg)
+    c1 = coupling(c1.maps[0][0], pg)
     comp = compose_couplings(c1, c2)
-    assert verify_reeb_quotient(comp.p_f).ok
-    assert verify_reeb_quotient(comp.p_g).ok
+    assert all(verify_reeb_quotient(m).ok for m in comp.maps[0])
     assert coupling_bound(comp) <= coupling_bound(c1) + coupling_bound(c2)
 
 
@@ -122,8 +120,8 @@ def test_compose_couplings_with_constant_middle_triangle(seed):
     _, ph = compute_reeb(cx, h)
     c1, c2 = coupling(pf, pg), coupling(pg, ph)
     comp = compose_couplings(c1, c2)
-    assert max(len(s) for s in comp.p_f.source.simplices) == 5
-    for m in (c1.p_f, c1.p_g, c2.p_g, comp.p_f, comp.p_g):
+    assert max(len(s) for s in comp.maps[0][0].source.simplices) == 5
+    for m in (*c1.maps[0], c2.maps[0][1], *comp.maps[0]):
         assert verify_reeb_quotient(m).ok
     (f_lo, f_hi), (h_lo, h_hi) = (range_of(d.values, cx.vertices) for d in (f, h))
     gap = max(abs(f_hi - h_hi), abs(f_lo - h_lo))
@@ -132,17 +130,49 @@ def test_compose_couplings_with_constant_middle_triangle(seed):
 
 
 def test_zigzag_from_coupling_cost_equals_bound():
+    # a coupling is the one-space zigzag: its cost is the coupling bound,
+    # and both are the sup norm of f - g over the shared vertices
     for seed in range(5):
-        _, _, _, c = _coupled(seed)
-        z = zigzag_from_coupling(c)
-        assert zigzag_cost(z) == coupling_bound(c)
+        cx, f, g, c = _coupled(seed)
+        want = max(abs(f(v) - g(v)) for v in cx.vertices)
+        assert zigzag_cost(c) == coupling_bound(c) == want
 
 
 def test_zigzag_diagram_validation_catches_mismatch():
+    # the first space ends in R_g, the second starts in R_f: the chain breaks
     _, _, _, c = _coupled(1)
-    z = ZigzagDiagram([c.p_f.target], [(c.p_f, c.p_g)])
-    with pytest.raises(ValueError):
+    z = ZigzagDiagram([c.maps[0], c.maps[0]])
+    with pytest.raises(ValueError, match="space 1: left target"):
         z.validate()
+    assert z.certificates is None
+    z = ZigzagDiagram(c.maps, lambdas=[0])
+    with pytest.raises(ValueError, match="one homotopy parameter per graph"):
+        z.validate()
+
+
+def test_zigzag_diagram_validation_rejects_a_space_with_two_sources():
+    cx1, f1, _ = random_instance(1, nverts=5)
+    cx2, f2, _ = random_instance(2, nverts=5)
+    _, p1 = compute_reeb(cx1, f1)
+    _, p2 = compute_reeb(cx2, f2)
+    z = ZigzagDiagram([(p1, p2)])
+    with pytest.raises(ValueError, match="share their source"):
+        z.validate()
+    assert z.certificates is None
+
+
+def test_coupling_bound_needs_a_certified_single_space():
+    _, _, _, c = _coupled(2)
+    assert len(c.certificates) == 1
+    assert all(cert.ok for cert in c.certificates[0])
+    with pytest.raises(ValueError, match="not a certified coupling"):
+        coupling_bound(ZigzagDiagram(c.maps))
+    pf, pg = c.maps[0]
+    z = ZigzagDiagram([(pf, pg), (pg, pg)])
+    z.validate()
+    assert len(z.certificates) == 2
+    with pytest.raises(ValueError, match="not a certified coupling"):
+        coupling_bound(z)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -176,10 +206,6 @@ def _triple(seed):
     return tuple(compute_reeb(cx, fn)[1] for fn in (f, g, h))
 
 
-def _chain(*maps):
-    return ZigzagDiagram([m[0].target for m in maps] + [maps[-1][1].target], list(maps))
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_two_space_cost_is_max_of_coupling_bounds_property(seed):
@@ -190,25 +216,26 @@ def test_two_space_cost_is_max_of_coupling_bounds_property(seed):
     c1, c2 = coupling(pf, pg), coupling(pg, ph)
     want = max(coupling_bound(c1), coupling_bound(c2),
                coupling_bound(compose_couplings(c1, c2)))
-    assert zigzag_cost(_chain((pf, pg), (pg, ph))) == want
+    assert zigzag_cost(ZigzagDiagram([(pf, pg), (pg, ph)])) == want
 
 
 def test_zigzag_cost_rejects_empty_and_mismatched_zigzags():
-    with pytest.raises(ValueError, match="empty zigzag"):
-        zigzag_cost(ZigzagDiagram([], []))
+    for reject in (zigzag_cost, ZigzagDiagram.validate):
+        with pytest.raises(ValueError, match="empty zigzag"):
+            reject(ZigzagDiagram([]))
     cx, f, g = cylinder(4)
     _, pf = compute_reeb(cx, f)
     _, pg = compute_reeb(cx, g)
     # the first space ends in R_g, the second starts in R_f
     with pytest.raises(ValueError, match="common target"):
-        zigzag_cost(_chain((pf, pg), (pf, pg)))
+        zigzag_cost(ZigzagDiagram([(pf, pg), (pf, pg)]))
 
 
 def test_zigzag_cost_respects_cell_budget(monkeypatch):
     cx, f, g = random_instance(1, nverts=4, triangles=1, second_function=True)
     _, pf = compute_reeb(cx, f)
     _, pg = compute_reeb(cx, g)
-    z = _chain((pf, pg), (pg, pf))
+    z = ZigzagDiagram([(pf, pg), (pg, pf)])
     ncells = len(category.pullback(pg, pg).cells)
     monkeypatch.setattr(category, "CELL_BUDGET", ncells)
     cost = zigzag_cost(z)

@@ -373,8 +373,8 @@ def test_limit_projection_restriction_agrees_pointwise_property(
     _, pg = compute_reeb(cx, g)
     _, ph = compute_reeb(cx, h)
     c1, c2 = coupling(pf, pg), coupling(pg, ph)
-    T = triangulate_limit(pullback(c1.p_g, c2.p_f))
-    for factor, m in ((0, c1.p_f), (1, c2.p_g)):
+    T = triangulate_limit(pullback(c1.maps[0][1], c2.maps[0][0]))
+    for factor, m in ((0, c1.maps[0][0]), (1, c2.maps[0][1])):
         out = limit_projection(T, factor, m)
         host = {s: T.supports[s][factor] for s in T.complex.simplices}
         _assert_restriction_agrees(m, out, host)
