@@ -12,26 +12,24 @@ limit construction: products are pullbacks over a point, and the limit of
 a longer zigzag is an iterated pullback (editdist.zigzag_cost).
 Composition is a pullback projection too: the pullback of q against the
 identity of its target subdivides q's source, and projecting it through p
-gives p o q (compose).
+gives p o q (compose).  Projections and induced maps (induced_map) both
+restrict a map over host simplices whose images cover their pieces' images.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .geometry import Vector, pulling_triangulation, simplex_slice
-from .graphs import GraphComplex, ReebGraph, complexify
+from .graphs import ReebGraph, complexify
 from .maps import (
     Cell,
     CellMap,
     MonotonePL,
     Slot,
     _same_graph,
-    level_ranks,
     level_slot,
     restrict_cellmap,
-    slot_in,
 )
 from .plcore import Scalar, Simplex, SimplicialComplex
 from .reeb import graph_identity_map
@@ -262,18 +260,23 @@ def triangulate_limit(L: LimitCellComplex) -> TriangulatedLimit:
     return TriangulatedLimit(L, complex, supports)
 
 
+def carry_column(T: TriangulatedLimit, factor: int, col: dict[int, Scalar]) -> dict:
+    """A value per vertex of the factor's complex, carried to the vertices
+    of the triangulated pullback by their barycentric coordinates there."""
+    return {
+        vid: sum((c * col[v] for v, c in locs[factor].items()), ZERO)
+        for vid, locs in T.limit.locations.items()
+    }
+
+
 def limit_projection(T: TriangulatedLimit, factor: int, m: CellMap) -> CellMap:
     """The composite (pullback -> X_factor -> m.target) as a
     certified-checkable CellMap on the triangulated pullback.  m is any
     quotient map on the factor's complex: the map pulled back there, or
     another one, as when compose_couplings and zigzag_cost carry the far
     side of a coupling or zigzag space across the pullback."""
-    h = {
-        vid: sum((c * m.h[v] for v, c in locs[factor].items()), ZERO)
-        for vid, locs in T.limit.locations.items()
-    }
     host = {s: T.supports[s][factor] for s in T.complex.simplices}
-    return restrict_cellmap(m, T.complex, h, host)
+    return restrict_cellmap(m, T.complex, carry_column(T, factor, m.h), host)
 
 
 def compose(p: CellMap, q: CellMap) -> CellMap:
@@ -312,12 +315,7 @@ def _require_affine_between_levels(xi: MonotonePL, m: CellMap) -> None:
             )
 
 
-def induced_map(
-    p_f: CellMap,
-    p_g: CellMap,
-    xi: MonotonePL,
-    gcf: Optional[GraphComplex] = None,
-) -> CellMap:
+def induced_map(p_f: CellMap, p_g: CellMap, xi: MonotonePL) -> CellMap:
     """The map R_f -> R_g induced on quotients by a shared source.
 
     p_f: X -> R_f and p_g: X -> R_g must share the source complex, with the
@@ -325,16 +323,16 @@ def induced_map(
     p_g.h == xi o p_f.h on vertices, and xi affine on every open gap between
     consecutive levels of p_f, with breakpoints spanning those levels (all
     checked exactly).  Then p_g.h == xi o p_f.h everywhere, by linearity on
-    each slab of a simplex.  Each fiber of p_f is then contained in a single
-    fiber of p_g, so the point map descends; the result is returned as a
-    quotient-map representation whose source is the complexification of R_f.
+    each slab of a simplex.  Each fiber of p_f then lies in one fiber of
+    p_g, so the point map descends; its source is the complexification of R_f.
 
-    The value arithmetic happens once per output slot: the middle value t of
-    the slot, the ends of xi's preimage of t and t's slot of p_g.  Positions
-    on R_f are slots of one merged axis of p_f's levels and the graph's
-    values, so a simplex of the graph clips the preimage to its own range,
-    and any position of the clipped range (all of it maps to one point of
-    R_g) names a fiber of p_f by integer lookups.
+    Every edge of R_f must span one gap of p_f's levels, as every edge of a
+    compute_reeb graph does; an edge spanning several raises ValueError.
+    Each cell of R_f is hosted on the first source simplex over it (over
+    the edge's gap for an edge), and the result is p_g restricted to those
+    hosts.  A simplex over an edge's gap reaches both end levels, so p_g
+    read over it is the induced map on the whole closed edge.  Every level
+    of p_g is an output level, so each output slot meets one slot of p_g.
     """
     if p_f.source.simplices != p_g.source.simplices:
         raise ValueError("the two quotient maps must share their source complex")
@@ -345,51 +343,21 @@ def induced_map(
                 f"xi({p_f.h[v]}) = {xi(p_f.h[v])} != {p_g.h[v]}"
             )
     _require_affine_between_levels(xi, p_f)
-    if gcf is None:
-        gcf = complexify(p_f.target)
-    h = {w: xi(gcf.values[w]) for w in gcf.complex.vertices}
-    out = CellMap(gcf.complex, h, p_g.target, {})
-    # (slot, cell) of p_f -> first maximal simplex over that cell in that
-    # slot, and each maximal simplex's slots of p_g
+    gc = complexify(p_f.target)
+    slot_of_cell = {("n", n): slot for n, slot in p_f.node_slot.items()}
+    for e, w in gc.mid_vertex.items():
+        slot = p_f.slot_of(gc.values[w])
+        if p_f.slot_range(slot) != p_f.target.edge_range(e):
+            raise ValueError(f"edge {e} spans more than one gap of the levels")
+        slot_of_cell[("e", e)] = slot
     first_over: dict[tuple[Slot, Cell], Simplex] = {}
-    g_slots: dict[Simplex, range] = {}
     for sig in p_f.source.maximal_simplices():
-        g_slots[sig] = p_g.slots_of(sig)
         for slot in p_f.slots_of(sig):
             first_over.setdefault((slot, p_f.assignment[sig][slot]), sig)
-
-    axis = sorted(set(p_f.levels).union(gcf.values.values()))
-    # the axis holds p_f's levels, so each axis slot meets one slot of p_f
-    f_slot = [run[0] for run in p_f.slots_over(axis)]
-    at = {w: level_slot(i) for w, i in level_ranks(gcf.values, axis)[1].items()}
-    # per output slot: its middle value, the axis slots of the ends of its
-    # preimage, and its slot of p_g; the graph is connected, so every slot
-    # between its lowest and highest vertex is met
-    rows: dict[Slot, tuple[Scalar, Slot, Slot, Slot]] = {}
-    for slot in out.slots_of(tuple(h)):
-        lo, hi = out.slot_range(slot)
-        t = (lo + hi) / 2
-        ua, ub = xi.preimage(t)
-        rows[slot] = (t, slot_in(axis, ua), slot_in(axis, ub), p_g.slot_of(t))
-
-    assignment: dict[Simplex, dict[Slot, Cell]] = {}
-    for s in gcf.complex.simplices:
-        fa = min(at[w] for w in s)
-        fb = max(at[w] for w in s)
-        host = gcf.host[s]
-        per: dict[Slot, Cell] = {}
-        for slot in out.slots_of(s):
-            t, ua, ub, gslot = rows[slot]
-            u = (max(ua, fa) + min(ub, fb)) // 2
-            cell = p_f.snap(host, f_slot[u])
-            sig = first_over.get((f_slot[u], cell))
-            if sig is None:
-                raise ValueError(
-                    f"no source simplex maps onto {cell} in the preimage of {t}"
-                )
-            if gslot not in g_slots[sig]:
-                raise ValueError(f"simplex {sig} does not meet value {t}")
-            per[slot] = p_g.snap(p_g.assignment[sig][gslot], gslot)
-        assignment[s] = per
-    out.assignment = assignment
-    return out
+    host = {c: first_over.get((slot, c)) for c, slot in slot_of_cell.items()}
+    for cell, sig in host.items():
+        if sig is None:
+            raise ValueError(f"no source simplex maps onto {cell}")
+    h = {w: xi(gc.values[w]) for w in gc.complex.vertices}
+    hosts = {s: host[gc.host[s]] for s in gc.complex.simplices}
+    return restrict_cellmap(p_g, gc.complex, h, hosts)

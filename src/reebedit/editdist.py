@@ -20,8 +20,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .category import induced_map, limit_projection, pullback, triangulate_limit
-from .graphs import ReebGraph, complexify
+from .category import (
+    carry_column,
+    induced_map,
+    limit_projection,
+    pullback,
+    triangulate_limit,
+)
+from .graphs import ReebGraph
 from .maps import (
     Cell,
     CellMap,
@@ -94,6 +100,8 @@ def point_distance(r_f: ReebGraph, c: Scalar) -> Scalar:
 def compose_couplings(c1: ZigzagDiagram, c2: ZigzagDiagram) -> ZigzagDiagram:
     """Couple R_f with R_h through a shared middle graph R_g by pulling the
     two spaces back over R_g; the new bound is at most the sum of the two."""
+    if len(c1.maps) != 1 or len(c2.maps) != 1:
+        raise ValueError("compose_couplings needs two couplings (one-space zigzags)")
     [(p_f, p_g)], [(q_g, q_h)] = c1.maps, c2.maps
     if not _same_graph(p_g.target, q_g.target):
         raise ValueError("couplings do not share a middle graph")
@@ -164,13 +172,7 @@ def zigzag_cost(z: ZigzagDiagram) -> Scalar:
     columns = [left.h, m.h]
     for nl, nr in z.maps[1:]:
         T = triangulate_limit(pullback(m, nl))
-        columns = [
-            {
-                vid: sum((c * col[v] for v, c in locs[0].items()), ZERO)
-                for vid, locs in T.limit.locations.items()
-            }
-            for col in columns
-        ]
+        columns = [carry_column(T, 0, col) for col in columns]
         m = limit_projection(T, 1, nr)
         columns.append(m.h)
     rows = zip(*(map(col.__getitem__, m.h) for col in columns))
@@ -291,9 +293,8 @@ def build_homotopy_zigzag(
     maps: list[tuple[CellMap, CellMap]] = []
     for i, rho in enumerate(sched.rhos):
         _, p_rho = compute_reeb(complex, interpolate(f, g, rho))
-        gc = complexify(p_rho.target)
-        left = induced_map(p_rho, quotients[i], sched.chis[i], gc)
-        right = induced_map(p_rho, quotients[i + 1], sched.xis[i], gc)
+        left = induced_map(p_rho, quotients[i], sched.chis[i])
+        right = induced_map(p_rho, quotients[i + 1], sched.xis[i])
         maps.append((left, right))
     return ZigzagDiagram(maps, sched.lambdas), cert
 

@@ -12,13 +12,15 @@ A slot is an int: 2i is level i and 2i+1 the open gap (level i, level i+1).
 Only this module knows that encoding; everything else asks
 `CellMap.slot_range` for a slot's value interval.  Assignments are built on
 slots: an edge cell is snapped to its end node by comparing slots
-(`CellMap.snap`), and a map is re-read over other levels through the run of
-its slots each of their slots meets (`CellMap.slots_over`).  Values are
+(`CellMap.snap`), and a map is re-read on a complex whose simplices have
+hosts covering their images (a containing simplex for a subdivision, one
+over the same cell for an induced map) through the run of its slots each
+new slot meets (`restrict_cellmap`, `CellMap.slots_over`).  Values are
 compared only to find the slot holding a value (`slot_in`).
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -316,12 +318,12 @@ def restrict_cellmap(
     new_h: dict[int, Scalar],
     host: dict[Simplex, Simplex],
 ) -> CellMap:
-    """Re-express a CellMap on a subdivision of its source.
+    """Re-express a CellMap on another complex through host simplices.
 
-    host[piece] must be an old simplex containing the piece, and new_h must
-    restrict/interpolate the old h.  The new levels lie within the old
-    range, so each new slot meets a run of old slots (`CellMap.slots_over`),
-    and the host must carry a single cell over that run.
+    host[piece] must be an old simplex whose image covers the piece's: one
+    containing it in a subdivision, or one over the same cell for induced
+    maps; new_h gives the values there.  Each new slot meets a run of old
+    slots (`CellMap.slots_over`); the host must carry one cell over it.
     """
     out = CellMap(sliced, new_h, m.target, {})
     over = m.slots_over(out.levels)
@@ -360,15 +362,13 @@ class MonotonePL:
     pairs (u, value); constant extension outside the breakpoint range."""
 
     breakpoints: tuple[tuple[Scalar, Scalar], ...]
-    # breakpoint positions and values, split once
+    # breakpoint positions, split once
     _us: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
-    _vs: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         us = tuple(u for u, _ in self.breakpoints)
         vs = tuple(v for _, v in self.breakpoints)
         object.__setattr__(self, "_us", us)
-        object.__setattr__(self, "_vs", vs)
         if not self.breakpoints:
             raise ValueError("need at least one breakpoint")
         if any(a >= b for a, b in zip(us, us[1:])):
@@ -406,17 +406,3 @@ class MonotonePL:
     @property
     def image(self) -> tuple[Scalar, Scalar]:
         return self.breakpoints[0][1], self.breakpoints[-1][1]
-
-    def preimage(self, t: Scalar) -> tuple[Scalar, Scalar]:
-        """The closed interval {u : self(u) == t} within the breakpoint
-        range (a single point when the value is attained transversally)."""
-        us, vs = self._us, self._vs
-        i = bisect_left(vs, t)
-        j = bisect_right(vs, t) - 1
-        if i == len(vs) or j < 0:
-            raise ValueError(f"value {t} not attained")
-        if i <= j:
-            return us[i], us[j]
-        # no breakpoint has the value t: it is crossed between j and i = j + 1
-        u = us[j] + (t - vs[j]) * (us[i] - us[j]) / (vs[i] - vs[j])
-        return u, u

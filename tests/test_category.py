@@ -21,10 +21,10 @@ from reebedit.editdist import (
     interpolate,
     zigzag_cost,
 )
-from reebedit.generators import cylinder, random_instance
+from reebedit.generators import cylinder, path, random_instance
 from reebedit.geometry import pulling_triangulation
-from reebedit.graphs import complexify, graph_isomorphic, minimalize
-from reebedit.maps import MonotonePL, verify_reeb_quotient
+from reebedit.graphs import ReebGraph, complexify, graph_isomorphic, minimalize
+from reebedit.maps import MonotonePL, cellmap_from_hosting, verify_reeb_quotient
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map
 
@@ -355,8 +355,8 @@ def test_induced_map_commutes_with_quotients_property(seed, nverts, kind):
     # m o p_f == p_g on the shared source, read pointwise at the middle of
     # every slot of every maximal simplex from the three maps' assignments
     for p_f, p_g, xi in _reparam_triples(seed, nverts, kind):
+        m = induced_map(p_f, p_g, xi)
         gc = complexify(p_f.target)
-        m = induced_map(p_f, p_g, xi, gc)
         for s in p_f.source.maximal_simplices():
             for slot in p_f.slots_of(s):
                 lo, hi = p_f.slot_range(slot)
@@ -390,3 +390,17 @@ def test_induced_map_rejects_reparam_not_spanning_levels():
     _, pg = compute_reeb(cx, PLFunction(cx, {v: xi(f(v)) for v in cx.vertices}))
     with pytest.raises(ValueError, match="do not span"):
         induced_map(p, pg, xi)
+
+
+def test_induced_map_rejects_an_edge_over_several_gaps():
+    # a certified quotient of path(2) whose one edge spans the two gaps of
+    # the levels -1, 0, 1: no source simplex covers the closed edge
+    cx, f = path(2)
+    r = ReebGraph({0: F(-1), 1: F(1)}, [(0, 1)])
+    host = {(0,): ("n", 0), (2,): ("n", 1)}
+    for s in cx.simplices:
+        host.setdefault(s, ("e", 0))
+    p = cellmap_from_hosting(cx, dict(f.values), r, host)
+    assert verify_reeb_quotient(p).ok
+    with pytest.raises(ValueError, match="spans more than one gap"):
+        induced_map(p, p, MonotonePL.identity(F(-1), F(1)))

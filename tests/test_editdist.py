@@ -104,6 +104,18 @@ def test_compose_couplings_certified_and_triangle():
     assert coupling_bound(comp) <= coupling_bound(c1) + coupling_bound(c2)
 
 
+def test_compose_couplings_rejects_a_longer_zigzag():
+    # a validated zigzag of several spaces is not a coupling, in either slot
+    cx, f, g = random_instance(1, nverts=4, second_function=True)
+    z, _ = build_homotopy_zigzag(cx, f, g)
+    z.validate()
+    assert len(z.maps) > 1
+    c = coupling(*z.maps[0])
+    for c1, c2 in ((z, c), (c, z)):
+        with pytest.raises(ValueError, match="needs two couplings"):
+            compose_couplings(c1, c2)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_compose_couplings_with_constant_middle_triangle(seed):
     # g constant on a triangle: the fiber product over that value has

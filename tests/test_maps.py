@@ -310,19 +310,13 @@ def test_compose_rejects_a_map_out_of_another_graph():
         compose(q, q)
 
 
-def test_monotone_pl_evaluation_and_preimage():
+def test_monotone_pl_evaluation():
     m = MonotonePL(((F(0), F(0)), (F(1), F(2)), (F(2), F(2)), (F(3), F(5))))
     assert m(F(1, 2)) == F(1)
     assert m(F(-5)) == F(0)  # constant extension
     assert m(F(10)) == F(5)
     assert m(F(3, 2)) == F(2)  # plateau
     assert m.image == (F(0), F(5))
-    # transversal value: single point
-    assert m.preimage(F(1)) == (F(1, 2), F(1, 2))
-    # plateau value: closed interval
-    assert m.preimage(F(2)) == (F(1), F(2))
-    with pytest.raises(ValueError):
-        m.preimage(F(6))
 
 
 def test_monotone_pl_rejects_decreasing():
@@ -444,46 +438,3 @@ def test_restrict_cellmap_rejects_two_cells_over_one_gap():
     host = {s: s for s in sliced.simplices}
     with pytest.raises(ValueError, match="several cells"):
         restrict_cellmap(m, sliced, {0: F(0), 1: F(2)}, host)
-
-
-# -- preimages of a sampled PL function ---------------------------------------
-
-
-def _preimage_by_scan(grid, phi, t):
-    """Reference: scan every sample for t or for a crossing of t."""
-    hits = []
-    for i in range(len(grid)):
-        if phi[i] == t:
-            hits.append(grid[i])
-        elif i + 1 < len(grid) and phi[i] < t < phi[i + 1]:
-            hits.append(grid[i] + (t - phi[i]) * (grid[i + 1] - grid[i]) / (phi[i + 1] - phi[i]))
-    if not hits:
-        raise ValueError(f"value {t} not attained")
-    return hits[0], hits[-1]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    us=st.lists(st.fractions(-6, 6, max_denominator=3), min_size=1, max_size=8, unique=True),
-    data=st.data(),
-)
-def test_preimage_by_bisection_matches_scan_property(us, data):
-    grid = sorted(us)
-    # small integer values, so flat runs are common
-    steps = data.draw(st.lists(st.integers(0, 2), min_size=len(grid), max_size=len(grid)))
-    phi = [F(sum(steps[: i + 1]) - 3) for i in range(len(grid))]
-    t = data.draw(
-        st.one_of(
-            st.sampled_from([phi[0], phi[-1]]),
-            st.sampled_from(phi),
-            st.fractions(phi[0] - 1, phi[-1] + 1, max_denominator=2),
-        )
-    )
-    m = MonotonePL(tuple(zip(grid, phi)))
-    try:
-        want = _preimage_by_scan(grid, phi, t)
-    except ValueError:
-        with pytest.raises(ValueError, match="not attained"):
-            m.preimage(t)
-        return
-    assert m.preimage(t) == want

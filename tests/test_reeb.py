@@ -93,6 +93,10 @@ def test_compute_reeb_matches_naive_sweep_dense_property(seed, n):
     assert graph_isomorphic(minimalize(got).graph, minimalize(want).graph)
     cert = verify_reeb_quotient(m)
     assert cert.ok, cert.summary()
+    # every edge spans one gap of the levels, as induced_map requires
+    for e in range(len(got.edges)):
+        lo, hi = got.edge_range(e)
+        assert m.levels[m.level_index(lo) + 1] == hi
 
 
 @pytest.mark.parametrize("seed", range(15))
