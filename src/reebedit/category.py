@@ -344,19 +344,17 @@ def induced_map(p_f: CellMap, p_g: CellMap, xi: MonotonePL) -> CellMap:
             )
     _require_affine_between_levels(xi, p_f)
     gc = complexify(p_f.target)
-    slot_of_cell = {("n", n): slot for n, slot in p_f.node_slot.items()}
     for e, w in gc.mid_vertex.items():
-        slot = p_f.slot_of(gc.values[w])
-        if p_f.slot_range(slot) != p_f.target.edge_range(e):
+        if p_f.slot_range(p_f.slot_of(gc.values[w])) != p_f.target.edge_range(e):
             raise ValueError(f"edge {e} spans more than one gap of the levels")
-        slot_of_cell[("e", e)] = slot
-    first_over: dict[tuple[Slot, Cell], Simplex] = {}
+    # every cell of R_f lies over one slot, so the first simplex whose
+    # assignment names it is the first simplex over it
+    host: dict[Cell, Simplex] = {}
     for sig in p_f.source.maximal_simplices():
-        for slot in p_f.slots_of(sig):
-            first_over.setdefault((slot, p_f.assignment[sig][slot]), sig)
-    host = {c: first_over.get((slot, c)) for c, slot in slot_of_cell.items()}
-    for cell, sig in host.items():
-        if sig is None:
+        for cell in p_f.assignment[sig].values():
+            host.setdefault(cell, sig)
+    for cell in gc.host.values():
+        if cell not in host:
             raise ValueError(f"no source simplex maps onto {cell}")
     h = {w: xi(gc.values[w]) for w in gc.complex.vertices}
     hosts = {s: host[gc.host[s]] for s in gc.complex.simplices}

@@ -17,7 +17,7 @@ from .editdist import (
 )
 from .graphs import GraphPoint, ReebGraph, point_on_edge
 from .maps import CertificationError, verify_reeb_quotient
-from .metrics import _cylinder_candidates, d_f, distortion
+from .metrics import _cylinder_candidates, correspondence_table, d_f, distortion
 from .plcore import format_scalar, parse_scalar
 from .reeb import compute_reeb
 
@@ -134,8 +134,6 @@ def cmd_distortion(args) -> int:
     phi, psi = _cylinder_candidates(cx, f, g)
     report = distortion(phi, psi, density=args.density)
     if args.csv:
-        from .metrics import correspondence_table
-
         rows = correspondence_table(phi, psi, density=args.density)
         with open(args.csv, "w") as fh:
             fh.write("p1,q1,p2,q2,d_f,d_g,defect\n")

@@ -29,12 +29,10 @@ from .category import (
 )
 from .graphs import ReebGraph
 from .maps import (
-    Cell,
     CellMap,
     CertificationError,
     MonotonePL,
     _same_graph,
-    cellmap_from_hosting,
     verify_reeb_quotient,
 )
 from .plcore import PLFunction, Scalar, SimplicialComplex
@@ -71,11 +69,8 @@ def collapse_map(source: SimplicialComplex, c: Scalar = ZERO) -> CellMap:
     """The constant quotient map of a connected complex onto a point graph."""
     if not source.is_connected():
         raise ValueError("collapse to a point needs a connected source")
-    pt = point_graph(c)
-    host: dict[tuple, Cell] = {s: ("n", 0) for s in source.simplices}
-    return cellmap_from_hosting(
-        source, {v: c for v in source.vertices}, pt, host
-    )
+    constant = PLFunction(source, dict.fromkeys(source.vertices, c))
+    return compute_reeb(source, constant)[1]
 
 
 def product_coupling(r_f: ReebGraph, r_g: ReebGraph) -> ZigzagDiagram:

@@ -402,7 +402,3 @@ class MonotonePL:
             return bp[i][1]
         (u0, v0), (u1, v1) = bp[i - 1], bp[i]
         return v0 + (v1 - v0) * (u - u0) / (u1 - u0)
-
-    @property
-    def image(self) -> tuple[Scalar, Scalar]:
-        return self.breakpoints[0][1], self.breakpoints[-1][1]

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graphs import GraphPoint, ReebGraph, minimalize, point_on_edge
+from .maps import _same_graph
 from .plcore import Scalar, UnionFind
 from .reeb import compute_reeb
 
@@ -249,15 +250,12 @@ def distortion(
     by midpoint evaluation — because coordinatewise-linear functions on a
     product cell attain their extrema at corners.
     """
-    gf, gg = phi.source, phi.target
-    if psi.source is not gg and psi.source.node_values != gg.node_values:
-        raise ValueError("psi must map the target graph of phi back")
     samples_f, samples_g, corners = _sampled_corners(phi, psi, density)
 
     # Each branch of the correspondence is a one-parameter family; the gaps
     # between consecutive samples along an edge are its linearity cells.
-    gaps_f = _edge_gaps(gf, samples_f)
-    gaps_g = _edge_gaps(gg, samples_g)
+    gaps_f = _edge_gaps(phi.source, samples_f)
+    gaps_g = _edge_gaps(phi.target, samples_g)
 
     all_f = [p for p, _ in corners]
     all_g = [q for _, q in corners]
@@ -267,24 +265,12 @@ def distortion(
     for qa, qb, qm in gaps_g:
         all_g += [qa, qb, qm]
         all_f += [psi(qa), psi(qb), psi(qm)]
-    idx_f = _index(all_f)
-    idx_g = _index(all_g)
-    mf = d_matrix(gf, list(idx_f))
-    mg = d_matrix(gg, list(idx_g))
-
-    def df(p1: GraphPoint, p2: GraphPoint) -> Scalar:
-        return _look(mf, idx_f[p1], idx_f[p2])
-
-    def dg(q1: GraphPoint, q2: GraphPoint) -> Scalar:
-        return _look(mg, idx_g[q1], idx_g[q2])
-
-    worst = ZERO
-    npairs = len(corners)
-    for i in range(npairs):
-        p1, q1 = corners[i]
-        for j in range(i + 1, npairs):
-            p2, q2 = corners[j]
-            worst = max(worst, abs(df(p1, p2) - dg(q1, q2)))
+    df = _distances(phi.source, all_f)
+    dg = _distances(phi.target, all_g)
+    worst = max(
+        (abs(d1 - d2) for *_, d1, d2 in _corner_rows(corners, df, dg)),
+        default=ZERO,
+    )
 
     # Tightness: on each gap the candidate set of intervals is constant (the
     # samples include every node-value preimage), so each pairwise d-function
@@ -299,20 +285,15 @@ def distortion(
     # cells are handled corner-wise.
     others_f = _dedupe([p for p, _ in corners])
     others_g = _dedupe([q for _, q in corners])
-    tight = True
-    for pa, pb, pm in gaps_f:
-        if not linear(df, pm, pa, pb, others_f) or not linear(
-            dg, phi(pm), phi(pa), phi(pb), others_g
-        ):
-            tight = False
-            break
-    if tight:
-        for qa, qb, qm in gaps_g:
-            if not linear(dg, qm, qa, qb, others_g) or not linear(
-                df, psi(qm), psi(qa), psi(qb), others_f
-            ):
-                tight = False
-                break
+    tight = all(
+        linear(df, pm, pa, pb, others_f)
+        and linear(dg, phi(pm), phi(pa), phi(pb), others_g)
+        for pa, pb, pm in gaps_f
+    ) and all(
+        linear(dg, qm, qa, qb, others_g)
+        and linear(df, psi(qm), psi(qa), psi(qb), others_f)
+        for qa, qb, qm in gaps_g
+    )
 
     return DistortionReport(
         Fraction(worst, 2),
@@ -325,6 +306,9 @@ def distortion(
 def _sampled_corners(phi: PLGraphMap, psi: PLGraphMap, density: int):
     """Samples on both graphs (with each map's breakpoints) and the
     correspondence corners (p, φp) for p in R_f, (ψq, q) for q in R_g."""
+    back = _same_graph(psi.source, phi.target) and _same_graph(psi.target, phi.source)
+    if not back:
+        raise ValueError("psi must map the target graph of phi back")
     samples_f = _dedupe(sample_points(phi.source, density) + _map_breakpoints(phi))
     samples_g = _dedupe(sample_points(phi.target, density) + _map_breakpoints(psi))
     corners = _dedupe(
@@ -333,29 +317,28 @@ def _sampled_corners(phi: PLGraphMap, psi: PLGraphMap, density: int):
     return samples_f, samples_g, corners
 
 
-def _dedupe(points: list[GraphPoint]) -> list[GraphPoint]:
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+def _dedupe(items: list) -> list:
+    return list(dict.fromkeys(items))
 
 
-def _index(points: list[GraphPoint]) -> dict[GraphPoint, int]:
-    out: dict[GraphPoint, int] = {}
-    for p in points:
-        if p not in out:
-            out[p] = len(out)
-    return out
+def _distances(g: ReebGraph, points: list[GraphPoint]):
+    """d_f on g as a function d(p, q) of the given points, from one
+    d_matrix run over them."""
+    index = {p: i for i, p in enumerate(_dedupe(points))}
+    m = d_matrix(g, list(index))
+
+    def d(p: GraphPoint, q: GraphPoint) -> Scalar:
+        i, j = index[p], index[q]
+        return ZERO if i == j else m[(i, j) if i < j else (j, i)]
+
+    return d
 
 
-def _look(m: dict, i: int, j: int) -> Scalar:
-    if i == j:
-        return ZERO
-    key = (i, j) if i < j else (j, i)
-    return m[key]
+def _corner_rows(corners, df, dg):
+    """(p1, q1, p2, q2, d_f(p1,p2), d_g(q1,q2)) for every pair of corners."""
+    for i, (p1, q1) in enumerate(corners):
+        for p2, q2 in corners[i + 1 :]:
+            yield p1, q1, p2, q2, df(p1, p2), dg(q1, q2)
 
 
 def _edge_gaps(
@@ -388,26 +371,10 @@ def correspondence_table(
 ) -> list[tuple[GraphPoint, GraphPoint, GraphPoint, GraphPoint, Scalar, Scalar]]:
     """Rows (p1, q1, p2, q2, d_f(p1,p2), d_g(q1,q2)) over all sampled
     correspondence pairs, for export and inspection."""
-    gf, gg = phi.source, phi.target
     _, _, corners = _sampled_corners(phi, psi, density)
-    idx_f = _index([p for p, _ in corners])
-    idx_g = _index([q for _, q in corners])
-    mf = d_matrix(gf, list(idx_f))
-    mg = d_matrix(gg, list(idx_g))
-    rows = []
-    for i, (p1, q1) in enumerate(corners):
-        for p2, q2 in corners[i + 1 :]:
-            rows.append(
-                (
-                    p1,
-                    q1,
-                    p2,
-                    q2,
-                    _look(mf, idx_f[p1], idx_f[p2]),
-                    _look(mg, idx_g[q1], idx_g[q2]),
-                )
-            )
-    return rows
+    df = _distances(phi.source, [p for p, _ in corners])
+    dg = _distances(phi.target, [q for _, q in corners])
+    return list(_corner_rows(corners, df, dg))
 
 
 # -- the cylinder example map pair ------------------------------------------
@@ -419,27 +386,15 @@ def _cylinder_candidates(cx, f, g):
     upper arc."""
     rf, _ = compute_reeb(cx, f)
     rg, _ = compute_reeb(cx, g)
-    mf = minimalize(rf)
-    mg = minimalize(rg)
-    phi = _value_projection(mf.graph, mg.graph)
-    psi = _upper_section(mg.graph, mf.graph)
-    return phi, psi
+    mf = minimalize(rf).graph
+    mg = minimalize(rg).graph
+    return _upper_section(mf, mg), _upper_section(mg, mf)
 
 
-def _value_projection(src: ReebGraph, dst: ReebGraph):
-    """Value-preserving map of a graph onto a path graph with the same range."""
-
-    def at(t) -> GraphPoint:
-        for e, (lo, hi) in enumerate(dst.edges):
-            if dst.value(lo) <= t <= dst.value(hi):
-                return point_on_edge(dst, e, t)
-        raise ValueError(f"value {t} outside target range")
-
-    return _map_along_values(src, dst, at)
-
-
-def _upper_section(src: ReebGraph, dst: ReebGraph):
-    """Section of a path graph into a graph along one monotone edge path."""
+def _upper_section(src: ReebGraph, dst: ReebGraph) -> PLGraphMap:
+    """The PL map sending each point of src at value t to the point at value
+    t on one monotone edge path of dst, from its lowest to its highest node.
+    Onto a path graph this is the value projection."""
     lo_n = min(dst.nodes, key=dst.value)
     hi_n = max(dst.nodes, key=dst.value)
     # walk a monotone path lo_n -> hi_n through increasing edges
@@ -457,11 +412,6 @@ def _upper_section(src: ReebGraph, dst: ReebGraph):
                 return point_on_edge(dst, e, t)
         raise ValueError(f"value {t} outside section range")
 
-    return _map_along_values(src, dst, at)
-
-
-def _map_along_values(src: ReebGraph, dst: ReebGraph, at):
-    """The PL graph map sending each point of src at value t to at(t)."""
     vertex_images = {n: at(src.value(n)) for n in src.nodes}
     node_vals = sorted(set(dst.node_values.values()))
     edge_paths = {}

@@ -86,6 +86,8 @@ def graph_from_dict(data: dict) -> ReebGraph:
             edges.append(tuple(_int_id(n, "graph", "edge endpoint") for n in e))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph: {exc}") from exc
+    if not values:
+        raise ValueError("malformed graph: no nodes")
     return ReebGraph(node_values=values, edges=edges)
 
 

@@ -404,3 +404,14 @@ def test_induced_map_rejects_an_edge_over_several_gaps():
     assert verify_reeb_quotient(p).ok
     with pytest.raises(ValueError, match="spans more than one gap"):
         induced_map(p, p, MonotonePL.identity(F(-1), F(1)))
+
+
+def test_induced_map_rejects_a_cell_without_a_source_simplex():
+    # path(1) hosted on edge 0 alone: nothing maps onto edge 1 or node 2
+    cx, _ = path(1)
+    r = ReebGraph({0: F(0), 1: F(1), 2: F(1)}, [(0, 1), (0, 2)])
+    host = {s: ("e", 0) for s in cx.simplices}
+    p = cellmap_from_hosting(cx, {0: F(0), 1: F(1)}, r, host)
+    assert not verify_reeb_quotient(p).ok
+    with pytest.raises(ValueError, match="no source simplex maps onto"):
+        induced_map(p, p, MonotonePL.identity(F(0), F(1)))

@@ -320,6 +320,19 @@ def test_usage_errors(tmp_path, capsys):
         assert "malformed instance: empty simplex" in err
 
 
+def test_graph_without_nodes_is_a_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty_graph.json"
+    empty.write_text(json.dumps({"nodes": [], "edges": []}))
+    for argv in (
+        ("bound", str(empty), "--point", "0"),
+        ("metric", str(empty), "n0", "n0"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed graph: no nodes\n"
+
+
 def test_pair_commands_reject_two_complexes(tmp_path, capsys):
     f_path, _ = _cyl_files(tmp_path, capsys)
     other = tmp_path / "other.json"

@@ -7,6 +7,8 @@ from reebedit.generators import cylinder, random_instance
 from reebedit.graphs import GraphPoint, ReebGraph, point_on_edge
 from reebedit.metrics import (
     PLGraphMap,
+    _cylinder_candidates,
+    correspondence_table,
     d_f,
     d_matrix,
     distortion,
@@ -181,8 +183,6 @@ def test_plgraphmap_value_defect():
 
 
 def _cylinder_report(n: int, density: int = 1):
-    from reebedit.metrics import _cylinder_candidates
-
     cx, f, g = cylinder(n)
     phi, psi = _cylinder_candidates(cx, f, g)
     return distortion(phi, psi, density=density)
@@ -198,10 +198,34 @@ def test_cylinder_distortion_half_and_tight():
 
 
 def test_fd_upper_bound_picks_tight_candidate():
-    from reebedit.metrics import _cylinder_candidates
-
     cx, f, g = cylinder(8)
     phi, psi = _cylinder_candidates(cx, f, g)
     r = distortion(phi, psi)
     assert r.tight
     assert r.bound == F(1, 2)
+
+
+def test_distortion_rejects_a_psi_between_other_graphs():
+    phi, psi = _cylinder_candidates(*cylinder(6))
+    rf, rg = phi.source, phi.target
+    wrong_target = ReebGraph(rf.node_values, [rf.edges[0]])
+    wrong_source = ReebGraph(rg.node_values, rg.edges[:-1])
+    for bad in (
+        PLGraphMap(rg, wrong_target, psi.vertex_images, psi.edge_paths),
+        PLGraphMap(wrong_source, rf, psi.vertex_images, psi.edge_paths),
+    ):
+        with pytest.raises(ValueError, match="psi must map the target graph"):
+            distortion(phi, bad)
+        with pytest.raises(ValueError, match="psi must map the target graph"):
+            correspondence_table(phi, bad)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_distortion_is_half_the_table_maximum(n):
+    phi, psi = _cylinder_candidates(*cylinder(n))
+    for density in range(4):
+        rows = correspondence_table(phi, psi, density=density)
+        worst = max(abs(d1 - d2) for *_, d1, d2 in rows)
+        assert 2 * distortion(phi, psi, density=density).distortion == worst
+        for p1, _, p2, _, d1, _ in rows:
+            assert d1 == d_f(phi.source, p1, p2)
