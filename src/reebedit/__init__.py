@@ -35,7 +35,6 @@ from .maps import (
     CellMap,
     Certificate,
     CertificationError,
-    MonotonePL,
     verify_reeb_quotient,
 )
 from .metrics import (
@@ -57,7 +56,6 @@ __all__ = [
     "CertificationError",
     "GraphPoint",
     "HomotopyCertificate",
-    "MonotonePL",
     "PLFunction",
     "PLGraphMap",
     "ReebGraph",

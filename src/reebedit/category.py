@@ -25,7 +25,6 @@ from .graphs import ReebGraph, complexify
 from .maps import (
     Cell,
     CellMap,
-    MonotonePL,
     Slot,
     _same_graph,
     level_slot,
@@ -294,55 +293,42 @@ def compose(p: CellMap, q: CellMap) -> CellMap:
     return limit_projection(triangulate_limit(pullback(q, ident)), 1, p)
 
 
-def _require_affine_between_levels(xi: MonotonePL, m: CellMap) -> None:
-    """Raise unless xi's breakpoints span m's levels and xi is affine on
-    every open gap between consecutive levels."""
-    lo, hi = m.levels[0], m.levels[-1]
-    bp = xi.breakpoints
-    if not bp[0][0] <= lo or not hi <= bp[-1][0]:
-        raise ValueError(
-            f"reparametrization breakpoints [{bp[0][0]}, {bp[-1][0]}] "
-            f"do not span the levels [{lo}, {hi}]"
-        )
-    for (u0, v0), (u1, v1), (u2, v2) in zip(bp, bp[1:], bp[2:]):
-        if (
-            m.level_index(u1) is None
-            and lo < u1 < hi
-            and (v1 - v0) * (u2 - u1) != (v2 - v1) * (u1 - u0)
-        ):
-            raise ValueError(
-                f"reparametrization bends at {u1}, strictly between two levels"
-            )
-
-
-def induced_map(p_f: CellMap, p_g: CellMap, xi: MonotonePL) -> CellMap:
+def induced_map(p_f: CellMap, p_g: CellMap) -> CellMap:
     """The map R_f -> R_g induced on quotients by a shared source.
 
-    p_f: X -> R_f and p_g: X -> R_g must share the source complex, with the
-    second value function a monotone reparametrization of the first:
-    p_g.h == xi o p_f.h on vertices, and xi affine on every open gap between
-    consecutive levels of p_f, with breakpoints spanning those levels (all
-    checked exactly).  Then p_g.h == xi o p_f.h everywhere, by linearity on
-    each slab of a simplex.  Each fiber of p_f then lies in one fiber of
-    p_g, so the point map descends; its source is the complexification of R_f.
+    p_f: X -> R_f and p_g: X -> R_g must share the source complex.  The
+    reparametrization is read off the two maps: every level of p_f must
+    hold a source vertex, all its vertices must share one p_g value, and
+    those values must not decrease from level to level; each of these is
+    checked exactly and raises ValueError.  The result sends each node of
+    R_f to the p_g value of its level and each edge's midpoint to the mean
+    of its ends' values; its source is the complexification of R_f.
 
     Every edge of R_f must span one gap of p_f's levels, as every edge of a
     compute_reeb graph does; an edge spanning several raises ValueError.
     Each cell of R_f is hosted on the first source simplex over it (over
     the edge's gap for an edge), and the result is p_g restricted to those
     hosts.  A simplex over an edge's gap reaches both end levels, so p_g
-    read over it is the induced map on the whole closed edge.  Every level
-    of p_g is an output level, so each output slot meets one slot of p_g.
+    read over it covers the whole closed edge.  Every level of p_g is an
+    output level, so each output slot meets one slot of p_g.  That the
+    result is a Reeb quotient is certified by verify_reeb_quotient, not
+    assumed.
     """
     if p_f.source.simplices != p_g.source.simplices:
         raise ValueError("the two quotient maps must share their source complex")
-    for v in p_f.source.vertices:
-        if xi(p_f.h[v]) != p_g.h[v]:
+    xi: dict[Scalar, Scalar] = {}
+    for v, t in p_f.h.items():
+        if xi.setdefault(t, p_g.h[v]) != p_g.h[v]:
             raise ValueError(
                 f"reparametrization mismatch at vertex {v}: "
-                f"xi({p_f.h[v]}) = {xi(p_f.h[v])} != {p_g.h[v]}"
+                f"level {t} goes to {xi[t]} and {p_g.h[v]}"
             )
-    _require_affine_between_levels(xi, p_f)
+    for t in p_f.levels:
+        if t not in xi:
+            raise ValueError(f"level {t} of p_f holds no source vertex")
+    for lo, hi in zip(p_f.levels, p_f.levels[1:]):
+        if xi[lo] > xi[hi]:
+            raise ValueError(f"reparametrization decreases from level {lo} to {hi}")
     gc = complexify(p_f.target)
     for e, w in gc.mid_vertex.items():
         if p_f.slot_range(p_f.slot_of(gc.values[w])) != p_f.target.edge_range(e):
@@ -356,6 +342,12 @@ def induced_map(p_f: CellMap, p_g: CellMap, xi: MonotonePL) -> CellMap:
     for cell in gc.host.values():
         if cell not in host:
             raise ValueError(f"no source simplex maps onto {cell}")
-    h = {w: xi(gc.values[w]) for w in gc.complex.vertices}
+    ends = {w: p_f.target.edge_range(e) for e, w in gc.mid_vertex.items()}
+    h = {
+        w: Fraction(xi[ends[w][0]] + xi[ends[w][1]], 2)
+        if w in ends
+        else xi[gc.values[w]]
+        for w in gc.complex.vertices
+    }
     hosts = {s: host[gc.host[s]] for s in gc.complex.simplices}
     return restrict_cellmap(p_g, gc.complex, h, hosts)

@@ -31,7 +31,6 @@ from .graphs import ReebGraph
 from .maps import (
     CellMap,
     CertificationError,
-    MonotonePL,
     _same_graph,
     verify_reeb_quotient,
 )
@@ -158,8 +157,8 @@ def zigzag_cost(z: ZigzagDiagram) -> Scalar:
     convex there and peaks at a vertex.  One space is the zero-step case:
     max |f_1 - f_2| over its vertices.  The cell count grows multiplicatively
     with the number of spaces; past category.CELL_BUDGET cells in one
-    pullback it raises RuntimeError.  build_homotopy_zigzag does not come
-    here: it knows its cost from the construction.
+    pullback it raises RuntimeError.  build_homotopy_zigzag reads only its
+    stages' one-space costs here: its total is known from the construction.
     """
     if not z.maps:
         raise ValueError("empty zigzag")
@@ -180,12 +179,10 @@ def zigzag_cost(z: ZigzagDiagram) -> Scalar:
 @dataclass
 class HomotopySchedule:
     """Breakpoints of the straight-line homotopy f_t = (1-t)f + tg at which
-    some vertex pair swaps order, plus the stage reparametrizations."""
+    some vertex pair swaps order, and the stage midpoints between them."""
 
     lambdas: list[Scalar]  # 0 = l_1 < ... < l_n = 1
     rhos: list[Scalar]  # stage midpoints
-    chis: list[MonotonePL]  # f_{rho_i}-values -> f_{lambda_i}-values
-    xis: list[MonotonePL]  # f_{rho_i}-values -> f_{lambda_{i+1}}-values
 
 
 def interpolate(f: PLFunction, g: PLFunction, t: Scalar) -> PLFunction:
@@ -201,7 +198,8 @@ def homotopy_breakpoints(
     f_t(v) = f_t(w) is linear in t, so each vertex pair contributes at most
     one interior crossing; pairs with equal values for every t never swap
     and are ignored.  Between consecutive breakpoints the weak vertex order
-    is constant, which makes each stage map a monotone reparametrization.
+    is constant, so a stage midpoint's levels go weakly increasingly to
+    either end's values, as induced_map requires.
     """
     verts = sorted(complex.vertices)
     crossings: set[Scalar] = set()
@@ -216,19 +214,7 @@ def homotopy_breakpoints(
                 crossings.add(t)
     lambdas = sorted({ZERO, ONE} | crossings)
     rhos = [(a + b) / 2 for a, b in zip(lambdas, lambdas[1:])]
-    chis: list[MonotonePL] = []
-    xis: list[MonotonePL] = []
-    for lam_a, lam_b, rho in zip(lambdas, lambdas[1:], rhos):
-        f_rho = interpolate(f, g, rho)
-        f_a = interpolate(f, g, lam_a)
-        f_b = interpolate(f, g, lam_b)
-        chis.append(
-            MonotonePL.from_pairs((f_rho(v), f_a(v)) for v in verts)
-        )
-        xis.append(
-            MonotonePL.from_pairs((f_rho(v), f_b(v)) for v in verts)
-        )
-    return HomotopySchedule(lambdas, rhos, chis, xis)
+    return HomotopySchedule(lambdas, rhos)
 
 
 @dataclass(frozen=True)
@@ -237,10 +223,10 @@ class HomotopyCertificate:
 
     Lower bound: every vertex x of the complex gives a chain of the limit
     whose graph values run from f(x) to g(x), and witness_vertex attains
-    |f - g| = cost.  Upper bound: consecutive graph values along any chain
-    differ by |chi_i(u) - xi_i(u)| for a stage-i value u; that difference is
-    linear between the shared breakpoints of chi_i and xi_i, so stage_gaps[i]
-    (its maximum over them) bounds it, and the gaps sum to cost.
+    |f - g| = cost.  Upper bound: along any chain, the graph values before
+    and after stage i are its two maps' values at one point of its space,
+    so they differ by at most stage_gaps[i], the stage's own one-space cost
+    (zigzag_cost of that stage alone), and the gaps sum to cost.
     """
 
     cost: Scalar
@@ -249,19 +235,13 @@ class HomotopyCertificate:
 
 
 def _certify_homotopy(
-    complex: SimplicialComplex,
-    f: PLFunction,
-    g: PLFunction,
-    sched: HomotopySchedule,
+    complex: SimplicialComplex, f: PLFunction, g: PLFunction, z: ZigzagDiagram
 ) -> HomotopyCertificate:
-    """The exact cost certificate of a homotopy schedule; raises
+    """The exact cost certificate of a homotopy zigzag; raises
     CertificationError unless the stage gaps sum to the witness's gap."""
     w = max(sorted(complex.vertices), key=lambda v: abs(f.values[v] - g.values[v]))
     cost = abs(f.values[w] - g.values[w])
-    gaps = tuple(
-        max(abs(v - xi(u)) for u, v in chi.breakpoints)
-        for chi, xi in zip(sched.chis, sched.xis)
-    )
+    gaps = tuple(zigzag_cost(ZigzagDiagram([stage])) for stage in z.maps)
     if sum(gaps) != cost:
         raise CertificationError(
             f"stage gaps sum to {sum(gaps)}, but |f - g| = {cost} at vertex {w}"
@@ -275,21 +255,20 @@ def build_homotopy_zigzag(
     """The stability zigzag of the straight-line homotopy from f to g.
 
     Graphs are the Reeb graphs at the breakpoints, spaces the Reeb graphs
-    at the stage midpoints, and the maps are induced by the monotone stage
-    reparametrizations.  Its cost equals ||f - g||_infinity exactly (the
-    source paper's stability argument, d_E(R_f, R_g) <= ||f - g||); the
-    returned certificate carries both bounds (see HomotopyCertificate).
+    at the stage midpoints, and the maps are induced by the shared source
+    (induced_map).  Its cost equals ||f - g||_infinity exactly (the source
+    paper's stability argument, d_E(R_f, R_g) <= ||f - g||); the returned
+    certificate carries both bounds (see HomotopyCertificate).
     """
     if not complex.is_connected():
         raise ValueError("the homotopy construction needs a connected complex")
     sched = homotopy_breakpoints(complex, f, g)
-    cert = _certify_homotopy(complex, f, g, sched)
     quotients = [compute_reeb(complex, interpolate(f, g, t))[1] for t in sched.lambdas]
     maps: list[tuple[CellMap, CellMap]] = []
     for i, rho in enumerate(sched.rhos):
         _, p_rho = compute_reeb(complex, interpolate(f, g, rho))
-        left = induced_map(p_rho, quotients[i], sched.chis[i])
-        right = induced_map(p_rho, quotients[i + 1], sched.xis[i])
-        maps.append((left, right))
-    return ZigzagDiagram(maps, sched.lambdas), cert
-
+        maps.append(
+            (induced_map(p_rho, quotients[i]), induced_map(p_rho, quotients[i + 1]))
+        )
+    z = ZigzagDiagram(maps, sched.lambdas)
+    return z, _certify_homotopy(complex, f, g, z)

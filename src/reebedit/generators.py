@@ -87,7 +87,7 @@ def random_instance(
     """A connected random 2-complex with rational vertex values.
 
     Deterministic for a fixed seed: a random spanning tree, extra edges,
-    and triangle fill-ins over existing paths.
+    and triangle fill-ins over paths already in the complex.
     """
     if nverts < 1:
         raise ValueError("need at least one vertex")

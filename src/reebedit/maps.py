@@ -21,7 +21,7 @@ compared only to find the slot holding a value (`slot_in`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import ReebGraph
@@ -351,54 +351,3 @@ def restrict_cellmap(
 
 def _same_graph(a: ReebGraph, b: ReebGraph) -> bool:
     return a.node_values == b.node_values and a.edges == b.edges
-
-
-# -- monotone reparametrizations ------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonotonePL:
-    """A weakly increasing PL function of one variable given by breakpoint
-    pairs (u, value); constant extension outside the breakpoint range."""
-
-    breakpoints: tuple[tuple[Scalar, Scalar], ...]
-    # breakpoint positions, split once
-    _us: tuple[Scalar, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        us = tuple(u for u, _ in self.breakpoints)
-        vs = tuple(v for _, v in self.breakpoints)
-        object.__setattr__(self, "_us", us)
-        if not self.breakpoints:
-            raise ValueError("need at least one breakpoint")
-        if any(a >= b for a, b in zip(us, us[1:])):
-            raise ValueError("breakpoint positions must strictly increase")
-        if any(a > b for a, b in zip(vs, vs[1:])):
-            raise ValueError("breakpoint values must weakly increase")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "MonotonePL":
-        by_u: dict[Scalar, Scalar] = {}
-        for u, v in pairs:
-            if u in by_u and by_u[u] != v:
-                raise ValueError(f"conflicting values at {u}: {by_u[u]} vs {v}")
-            by_u[u] = v
-        return cls(tuple(sorted(by_u.items())))
-
-    @classmethod
-    def identity(cls, lo: Scalar, hi: Scalar) -> "MonotonePL":
-        if lo == hi:
-            return cls(((lo, lo),))
-        return cls(((lo, lo), (hi, hi)))
-
-    def __call__(self, u: Scalar) -> Scalar:
-        bp = self.breakpoints
-        if u <= bp[0][0]:
-            return bp[0][1]
-        if u >= bp[-1][0]:
-            return bp[-1][1]
-        i = bisect_left(self._us, u)
-        if bp[i][0] == u:
-            return bp[i][1]
-        (u0, v0), (u1, v1) = bp[i - 1], bp[i]
-        return v0 + (v1 - v0) * (u - u0) / (u1 - u0)

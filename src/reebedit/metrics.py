@@ -257,14 +257,17 @@ def distortion(
     gaps_f = _edge_gaps(phi.source, samples_f)
     gaps_g = _edge_gaps(phi.target, samples_g)
 
+    # each gap triple and its image under the other map, mapped once
+    images_f = [(gap, tuple(map(phi, gap))) for gap in gaps_f]
+    images_g = [(gap, tuple(map(psi, gap))) for gap in gaps_g]
     all_f = [p for p, _ in corners]
     all_g = [q for _, q in corners]
-    for pa, pb, pm in gaps_f:
-        all_f += [pa, pb, pm]
-        all_g += [phi(pa), phi(pb), phi(pm)]
-    for qa, qb, qm in gaps_g:
-        all_g += [qa, qb, qm]
-        all_f += [psi(qa), psi(qb), psi(qm)]
+    for gap, image in images_f:
+        all_f += gap
+        all_g += image
+    for gap, image in images_g:
+        all_g += gap
+        all_f += image
     df = _distances(phi.source, all_f)
     dg = _distances(phi.target, all_g)
     worst = max(
@@ -277,7 +280,8 @@ def distortion(
     # restricted to the gap is a minimum of affine functions, hence concave;
     # a concave function passing the midpoint test is linear on the gap, and
     # functions linear across every gap attain their extrema at corners.
-    def linear(d, xm, xa, xb, others):
+    def linear(d, gap, others):
+        xa, xb, xm = gap
         return all(2 * d(xm, x2) == d(xa, x2) + d(xb, x2) for x2 in others)
 
     # Slices are tested against corner points only: gap interiors (notably the
@@ -286,13 +290,11 @@ def distortion(
     others_f = _dedupe([p for p, _ in corners])
     others_g = _dedupe([q for _, q in corners])
     tight = all(
-        linear(df, pm, pa, pb, others_f)
-        and linear(dg, phi(pm), phi(pa), phi(pb), others_g)
-        for pa, pb, pm in gaps_f
+        linear(df, gap, others_f) and linear(dg, image, others_g)
+        for gap, image in images_f
     ) and all(
-        linear(dg, qm, qa, qb, others_g)
-        and linear(df, psi(qm), psi(qa), psi(qb), others_f)
-        for qa, qb, qm in gaps_g
+        linear(dg, gap, others_g) and linear(df, image, others_f)
+        for gap, image in images_g
     )
 
     return DistortionReport(

@@ -1,8 +1,6 @@
 from fractions import Fraction
 from unittest import mock
 
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +22,8 @@ from reebedit.editdist import (
 from reebedit.generators import cylinder, path, random_instance
 from reebedit.geometry import pulling_triangulation
 from reebedit.graphs import ReebGraph, complexify, graph_isomorphic, minimalize
-from reebedit.maps import MonotonePL, cellmap_from_hosting, verify_reeb_quotient
-from reebedit.plcore import PLFunction
+from reebedit.maps import cellmap_from_hosting, verify_reeb_quotient
+from reebedit.plcore import PLFunction, SimplicialComplex
 from reebedit.reeb import compute_reeb, graph_identity_map
 
 from oracles import image_point, point_image, polytope_vertices
@@ -272,9 +270,7 @@ def test_zigzag_cost_of_value_preserving_chain():
 def test_induced_map_identity_reparam():
     cx, f, _ = random_instance(5, nverts=5)
     r, p = compute_reeb(cx, f)
-    lo, hi = r.value_range()
-    xi = MonotonePL.identity(lo, hi)
-    m = induced_map(p, p, xi)
+    m = induced_map(p, p)
     cert = verify_reeb_quotient(m)
     assert cert.ok, cert.summary()
     assert graph_isomorphic(minimalize(m.target).graph, minimalize(r).graph)
@@ -286,9 +282,7 @@ def test_induced_map_affine_reparam():
     # g = 2 f + 1 has the same Reeb graph up to rescaling node values
     g = PLFunction(cx, {v: 2 * f(v) + 1 for v in cx.vertices})
     rg, pg = compute_reeb(cx, g)
-    lo, hi = r.value_range()
-    xi = MonotonePL(((lo, 2 * lo + 1), (hi, 2 * hi + 1)))
-    m = induced_map(p, pg, xi)
+    m = induced_map(p, pg)
     cert = verify_reeb_quotient(m)
     assert cert.ok, cert.summary()
 
@@ -296,100 +290,108 @@ def test_induced_map_affine_reparam():
 def test_induced_map_collapse_to_point():
     cx, f, _ = random_instance(9, nverts=5)
     r, p = compute_reeb(cx, f)
-    # constant reparametrization collapses everything to one point graph
+    # a constant second function collapses everything to one point graph
     q = collapse_map(cx, F(0))
-    lo, hi = r.value_range()
-    xi = (
-        MonotonePL(((lo, F(0)),))
-        if lo == hi
-        else MonotonePL(((lo, F(0)), (hi, F(0))))
-    )
-    m = induced_map(p, q, xi)
+    m = induced_map(p, q)
     assert verify_reeb_quotient(m).ok
     assert len(m.target.nodes) == 1
 
 
 def test_induced_map_rejects_mismatched_reparam():
+    # every vertex sits on the one level of the collapse, but g = f + 1
+    # sends them to different values
     cx, f, _ = random_instance(5, nverts=5)
-    r, p = compute_reeb(cx, f)
     g = PLFunction(cx, {v: f(v) + 1 for v in cx.vertices})
     _, pg = compute_reeb(cx, g)
-    lo, hi = r.value_range()
-    xi = MonotonePL.identity(lo, hi)  # wrong: misses the +1 shift
-    with pytest.raises(ValueError, match="mismatch"):
-        induced_map(p, pg, xi)
+    with pytest.raises(ValueError, match="reparametrization mismatch at vertex"):
+        induced_map(collapse_map(cx, F(0)), pg)
 
 
-def _reparam_triples(seed, nverts, kind):
-    """(p_f, p_g, xi) with p_g.h == xi o p_f.h: every stage map of a random
-    homotopy, or an affine or constant reparametrization of one function."""
+def test_induced_map_rejects_a_decreasing_reparam():
+    cx, f, _ = random_instance(5, nverts=5)
+    _, p = compute_reeb(cx, f)
+    _, q = compute_reeb(cx, PLFunction(cx, {v: -f(v) for v in cx.vertices}))
+    lo, hi = p.levels[:2]
+    with pytest.raises(ValueError, match=f"decreases from level {lo} to {hi}"):
+        induced_map(p, q)
+
+
+def test_induced_map_rejects_a_level_without_a_source_vertex():
+    # path(1) from 0 to 1 onto a graph with a node at 1/2: no vertex there
+    cx, _ = path(1)
+    r = ReebGraph({0: F(0), 1: F(1, 2), 2: F(1)}, [(0, 1), (1, 2)])
+    host = {(0,): ("n", 0), (1,): ("n", 2), (0, 1): ("e", 0)}
+    p = cellmap_from_hosting(cx, {0: F(0), 1: F(1)}, r, host)
+    with pytest.raises(ValueError, match="level 1/2 of p_f holds no source vertex"):
+        induced_map(p, p)
+
+
+def test_induced_map_certifies_a_stage_that_is_not_affine_on_simplices():
+    # one triangle at f_rho = (0, 1, 2) and f_lambda = (0, 0, 2): the middle
+    # of edge (0, 2) lies on level 1 of f_rho but at 1 under f_lambda, while
+    # vertex 1 on that level goes to 0; the induced map is still certified
+    cx = SimplicialComplex.from_simplices([(0, 1, 2)])
+    r, p_rho = compute_reeb(cx, PLFunction(cx, {0: F(0), 1: F(1), 2: F(2)}))
+    _, p_lam = compute_reeb(cx, PLFunction(cx, {0: F(0), 1: F(0), 2: F(2)}))
+    m = induced_map(p_rho, p_lam)
+    assert verify_reeb_quotient(m).ok
+    gc = complexify(r)
+    at_level = {r.value(n): m.h[w] for n, w in gc.node_vertex.items()}
+    assert at_level == {F(0): F(0), F(1): F(0), F(2): F(2)}
+
+
+def _reparam_pairs(seed, nverts, kind):
+    """(p_f, p_g) on one source with g a weakly increasing function of f on
+    vertices: every stage map of a random homotopy, an affine or constant
+    reparametrization of one function, or a bend one that is affine on no
+    gap crossing the middle of f's lowest gap."""
     if kind == "homotopy":
         cx, f, g = random_instance(
             seed, nverts=nverts, value_range=(-4, 4), second_function=True
         )
         sched = homotopy_breakpoints(cx, f, g)
         quotients = [compute_reeb(cx, interpolate(f, g, t))[1] for t in sched.lambdas]
-        triples = []
+        pairs = []
         for i, rho in enumerate(sched.rhos):
             _, p = compute_reeb(cx, interpolate(f, g, rho))
-            triples.append((p, quotients[i], sched.chis[i]))
-            triples.append((p, quotients[i + 1], sched.xis[i]))
-        return triples
+            pairs += [(p, quotients[i]), (p, quotients[i + 1])]
+        return pairs
     cx, f, _ = random_instance(seed, nverts=nverts)
     _, p = compute_reeb(cx, f)
-    lo, hi = p.levels[0], p.levels[-1]
     if kind == "affine":
         g = PLFunction(cx, {v: 2 * f(v) + 1 for v in cx.vertices})
-        xi = MonotonePL.from_pairs([(lo, 2 * lo + 1), (hi, 2 * hi + 1)])
-        return [(p, compute_reeb(cx, g)[1], xi)]
-    return [(p, collapse_map(cx, F(0)), MonotonePL.from_pairs([(lo, F(0)), (hi, F(0))]))]
+        return [(p, compute_reeb(cx, g)[1])]
+    if kind == "bend":
+        # every level above the lowest shifts up by half the lowest gap
+        l0, l1 = p.levels[:2]
+        shift = {v: F(0) if f(v) == l0 else (l1 - l0) / 2 for v in cx.vertices}
+        g = PLFunction(cx, {v: f(v) + shift[v] for v in cx.vertices})
+        return [(p, compute_reeb(cx, g)[1])]
+    return [(p, collapse_map(cx, F(0)))]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     nverts=st.integers(3, 6),
-    kind=st.sampled_from(["homotopy", "affine", "constant"]),
+    kind=st.sampled_from(["homotopy", "affine", "constant", "bend"]),
 )
 def test_induced_map_commutes_with_quotients_property(seed, nverts, kind):
     # m o p_f == p_g on the shared source, read pointwise at the middle of
-    # every slot of every maximal simplex from the three maps' assignments
-    for p_f, p_g, xi in _reparam_triples(seed, nverts, kind):
-        m = induced_map(p_f, p_g, xi)
+    # every slot of every maximal simplex from the three maps' assignments;
+    # xi, the g value of f's level, is read off the vertices and taken
+    # affine on each gap of f's levels
+    for p_f, p_g in _reparam_pairs(seed, nverts, kind):
+        m = induced_map(p_f, p_g)
+        xi = {p_f.h[v]: p_g.h[v] for v in p_f.source.vertices}
         gc = complexify(p_f.target)
         for s in p_f.source.maximal_simplices():
             for slot in p_f.slots_of(s):
                 lo, hi = p_f.slot_range(slot)
                 u = (lo + hi) / 2
                 assert image_point(m, gc, point_image(p_f, s, u)) == point_image(
-                    p_g, s, xi(u)
+                    p_g, s, (xi[lo] + xi[hi]) / 2
                 ), (s, u)
-
-
-def test_induced_map_rejects_bend_between_levels():
-    # g == xi o f on vertices, but xi bends inside the first gap of f's
-    # levels, so g != xi o f on the simplices that cross the bend
-    for seed in range(6):
-        cx, f, _ = random_instance(seed, nverts=5)
-        _, p = compute_reeb(cx, f)
-        l0, l1, top = p.levels[0], p.levels[1], p.levels[-1]
-        bend = (l0 + l1) / 2
-        xi = MonotonePL.from_pairs(
-            [(l0, l0), (bend, bend), (l1, 2 * l1 - bend), (top, top + l1 - bend)]
-        )
-        _, pg = compute_reeb(cx, PLFunction(cx, {v: xi(f(v)) for v in cx.vertices}))
-        with pytest.raises(ValueError, match=re.escape(f"bends at {bend}")):
-            induced_map(p, pg, xi)
-
-
-def test_induced_map_rejects_reparam_not_spanning_levels():
-    cx, f, _ = random_instance(5, nverts=5)
-    _, p = compute_reeb(cx, f)
-    mid, hi = p.levels[len(p.levels) // 2], p.levels[-1]
-    xi = MonotonePL(((mid, mid), (hi, hi)))
-    _, pg = compute_reeb(cx, PLFunction(cx, {v: xi(f(v)) for v in cx.vertices}))
-    with pytest.raises(ValueError, match="do not span"):
-        induced_map(p, pg, xi)
 
 
 def test_induced_map_rejects_an_edge_over_several_gaps():
@@ -403,7 +405,7 @@ def test_induced_map_rejects_an_edge_over_several_gaps():
     p = cellmap_from_hosting(cx, dict(f.values), r, host)
     assert verify_reeb_quotient(p).ok
     with pytest.raises(ValueError, match="spans more than one gap"):
-        induced_map(p, p, MonotonePL.identity(F(-1), F(1)))
+        induced_map(p, p)
 
 
 def test_induced_map_rejects_a_cell_without_a_source_simplex():
@@ -414,4 +416,4 @@ def test_induced_map_rejects_a_cell_without_a_source_simplex():
     p = cellmap_from_hosting(cx, {0: F(0), 1: F(1)}, r, host)
     assert not verify_reeb_quotient(p).ok
     with pytest.raises(ValueError, match="no source simplex maps onto"):
-        induced_map(p, p, MonotonePL.identity(F(0), F(1)))
+        induced_map(p, p)

@@ -23,7 +23,7 @@ from reebedit.editdist import (
 )
 from reebedit.generators import cylinder, random_instance
 from reebedit.category import induced_map
-from reebedit.maps import CertificationError, MonotonePL, verify_reeb_quotient
+from reebedit.maps import CertificationError, verify_reeb_quotient
 from reebedit.plcore import PLFunction
 from reebedit.reeb import compute_reeb, graph_identity_map
 
@@ -271,7 +271,6 @@ def test_homotopy_breakpoints_structure():
     sched = homotopy_breakpoints(cx, f, g)
     assert sched.lambdas[0] == F(0) and sched.lambdas[-1] == F(1)
     assert len(sched.rhos) == len(sched.lambdas) - 1
-    assert len(sched.chis) == len(sched.rhos) == len(sched.xis)
     # each crossing parameter equalizes some vertex pair
     verts = sorted(cx.vertices)
     for lam in sched.lambdas[1:-1]:
@@ -281,11 +280,14 @@ def test_homotopy_breakpoints_structure():
             for i, v in enumerate(verts)
             for w in verts[i + 1 :]
         )
-    # within a stage the weak vertex order is constant: the reparametrization
-    # sends midpoint values to endpoint values monotonically
-    for chi in sched.chis:
-        us = [u for u, _ in chi.breakpoints]
-        assert us == sorted(us)
+    # within a stage the weak vertex order is constant: the midpoint order
+    # holds weakly at both ends of the stage
+    for a, b, rho in zip(sched.lambdas, sched.lambdas[1:], sched.rhos):
+        f_rho, f_a, f_b = (interpolate(f, g, t) for t in (rho, a, b))
+        for v in verts:
+            for w in verts:
+                if f_rho(v) <= f_rho(w):
+                    assert f_a(v) <= f_a(w) and f_b(v) <= f_b(w)
 
 
 def test_induced_quotient_via_reparam_certified():
@@ -295,20 +297,18 @@ def test_induced_quotient_via_reparam_certified():
     f_lam = interpolate(f, g, sched.lambdas[0])
     _, p_rho = compute_reeb(cx, f_rho)
     _, p_lam = compute_reeb(cx, f_lam)
-    m = induced_map(p_rho, p_lam, sched.chis[0])
+    m = induced_map(p_rho, p_lam)
     cert = verify_reeb_quotient(m)
     assert cert.ok, cert.summary()
 
 
 def test_induced_quotient_rejects_bad_reparam():
+    # two unrelated functions: g is no weakly increasing function of f
     cx, f, g = random_instance(9, nverts=5, second_function=True)
-    lo = min(f(v) for v in cx.vertices)
-    hi = max(f(v) for v in cx.vertices)
-    bad = MonotonePL.identity(lo, hi)
     _, p_f = compute_reeb(cx, f)
     _, p_g = compute_reeb(cx, g)
-    with pytest.raises(ValueError):
-        induced_map(p_f, p_g, bad)
+    with pytest.raises(ValueError, match="reparametrization"):
+        induced_map(p_f, p_g)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -330,11 +330,12 @@ def test_homotopy_zigzag_certified_and_stable(seed):
 
 def test_homotopy_certificate_rejects_gaps_that_miss_the_norm():
     cx, f, g = random_instance(3, nverts=5, second_function=True)
-    sched = homotopy_breakpoints(cx, f, g)
-    assert len(sched.chis) > 1
-    sched.xis[0] = sched.chis[0]  # stage 0 now closes no gap
+    z, _ = build_homotopy_zigzag(cx, f, g)
+    assert len(z.maps) > 1
+    left, _ = z.maps[0]
+    z.maps[0] = (left, left)  # stage 0 now closes no gap
     with pytest.raises(CertificationError, match="stage gaps sum to"):
-        _certify_homotopy(cx, f, g, sched)
+        _certify_homotopy(cx, f, g, z)
 
 
 def test_homotopy_zigzag_identical_functions_costs_zero():

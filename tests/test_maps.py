@@ -11,7 +11,6 @@ from reebedit.generators import cylinder, random_instance
 from reebedit.graphs import ReebGraph, complexify, graph_isomorphic, minimalize
 from reebedit.maps import (
     CellMap,
-    MonotonePL,
     cellmap_from_hosting,
     restrict_cellmap,
     verify_reeb_quotient,
@@ -308,26 +307,6 @@ def test_compose_rejects_a_map_out_of_another_graph():
     _, q = compute_reeb(cx, f)
     with pytest.raises(ValueError, match="codomain of q is not the domain of p"):
         compose(q, q)
-
-
-def test_monotone_pl_evaluation():
-    m = MonotonePL(((F(0), F(0)), (F(1), F(2)), (F(2), F(2)), (F(3), F(5))))
-    assert m(F(1, 2)) == F(1)
-    assert m(F(-5)) == F(0)  # constant extension
-    assert m(F(10)) == F(5)
-    assert m(F(3, 2)) == F(2)  # plateau
-
-
-def test_monotone_pl_rejects_decreasing():
-    with pytest.raises(ValueError):
-        MonotonePL(((F(0), F(1)), (F(1), F(0))))
-    with pytest.raises(ValueError):
-        MonotonePL.from_pairs([(F(0), F(0)), (F(0), F(1))])
-
-
-def test_monotone_pl_identity():
-    m = MonotonePL.identity(F(-1), F(1))
-    assert m(F(1, 3)) == F(1, 3)
 
 
 # -- restriction to a subdivision -------------------------------------------
