@@ -340,6 +340,23 @@ def test_induced_map_certifies_a_stage_that_is_not_affine_on_simplices():
     assert at_level == {F(0): F(0), F(1): F(0), F(2): F(2)}
 
 
+def test_induced_map_certifies_a_bend_between_levels():
+    # g == xi o f on vertices for a xi that bends at the middle of the
+    # first gap of f's levels and has slope 1 elsewhere; each level goes to
+    # its g value and the induced map is certified
+    for seed in range(6):
+        cx, f, _ = random_instance(seed, nverts=5)
+        r, p = compute_reeb(cx, f)
+        l0, l1 = p.levels[:2]
+        bend = (l0 + l1) / 2
+        xi = {x: x if x == l0 else x + l1 - bend for x in p.levels}
+        _, pg = compute_reeb(cx, PLFunction(cx, {v: xi[f(v)] for v in cx.vertices}))
+        m = induced_map(p, pg)
+        assert verify_reeb_quotient(m).ok
+        gc = complexify(r)
+        assert {r.value(n): m.h[w] for n, w in gc.node_vertex.items()} == xi
+
+
 def _reparam_pairs(seed, nverts, kind):
     """(p_f, p_g) on one source with g a weakly increasing function of f on
     vertices: every stage map of a random homotopy, an affine or constant
