@@ -39,7 +39,6 @@ from .maps import (
 )
 from .metrics import (
     PLGraphMap,
-    correspondence_table,
     d_f,
     d_matrix,
     distortion,
@@ -67,7 +66,6 @@ __all__ = [
     "compose",
     "compose_couplings",
     "compute_reeb",
-    "correspondence_table",
     "coupling",
     "coupling_bound",
     "cylinder",

@@ -17,7 +17,7 @@ from .editdist import (
 )
 from .graphs import GraphPoint, ReebGraph, point_on_edge
 from .maps import CertificationError, verify_reeb_quotient
-from .metrics import _cylinder_candidates, correspondence_table, d_f, distortion
+from .metrics import _cylinder_candidates, d_f, distortion
 from .plcore import format_scalar, parse_scalar
 from .reeb import compute_reeb
 
@@ -134,10 +134,9 @@ def cmd_distortion(args) -> int:
     phi, psi = _cylinder_candidates(cx, f, g)
     report = distortion(phi, psi, density=args.density)
     if args.csv:
-        rows = correspondence_table(phi, psi, density=args.density)
         with open(args.csv, "w") as fh:
             fh.write("p1,q1,p2,q2,d_f,d_g,defect\n")
-            for p1, q1, p2, q2, df_v, dg_v in rows:
+            for p1, q1, p2, q2, df_v, dg_v in report.rows:
                 fh.write(
                     f"{_fmt_point(p1)},{_fmt_point(q1)},{_fmt_point(p2)},"
                     f"{_fmt_point(q2)},{format_scalar(df_v)},"
@@ -186,7 +185,7 @@ def cmd_homotopy(args) -> int:
         z.validate()
     if args.output:
         witness = {
-            "lambdas": [format_scalar(t) for t in z.lambdas],
+            "lambdas": [format_scalar(t) for t in cert.lambdas],
             "graphs": [serialize.graph_to_dict(r) for r in z.graphs],
             "cost": format_scalar(cert.cost),
             "witness_vertex": cert.witness_vertex,

@@ -87,7 +87,11 @@ def point_distance(r_f: ReebGraph, c: Scalar) -> Scalar:
 
     max over nodes of |value - c| is an upper bound via the product
     coupling and a lower bound because every coupling surjects onto R_f.
+    A disconnected R_f has no coupling with a point: the fiber over the
+    point would be the whole space, and fibers are connected.
     """
+    if not r_f.is_connected():
+        raise ValueError("no coupling to a point graph: the graph is disconnected")
     return max(abs(v - c) for v in r_f.node_values.values())
 
 
@@ -112,8 +116,6 @@ class ZigzagDiagram:
     coupling is the one-space case."""
 
     maps: list[tuple[CellMap, CellMap]]  # per space: (to R_i, to R_{i+1})
-    # homotopy parameter of each graph, when the zigzag comes from a homotopy
-    lambdas: Optional[list[Scalar]] = None
     # per space, the certificates of its two maps; set by validate()
     certificates: Optional[list[tuple]] = field(default=None, repr=False)
 
@@ -125,8 +127,6 @@ class ZigzagDiagram:
         """Check each space's shape, then certify its two maps once."""
         if not self.maps:
             raise ValueError("empty zigzag")
-        if self.lambdas is not None and len(self.lambdas) != len(self.maps) + 1:
-            raise ValueError("need one homotopy parameter per graph")
         certificates = []
         for i, (ml, mr) in enumerate(self.maps):
             if ml.source.simplices != mr.source.simplices:
@@ -232,13 +232,15 @@ class HomotopyCertificate:
     cost: Scalar
     witness_vertex: int
     stage_gaps: tuple[Scalar, ...]
+    lambdas: tuple[Scalar, ...]  # the homotopy parameter of each graph
 
 
 def _certify_homotopy(
     complex: SimplicialComplex, f: PLFunction, g: PLFunction, z: ZigzagDiagram
-) -> HomotopyCertificate:
-    """The exact cost certificate of a homotopy zigzag; raises
-    CertificationError unless the stage gaps sum to the witness's gap."""
+) -> tuple[Scalar, int, tuple[Scalar, ...]]:
+    """The cost, witness vertex and stage gaps of a homotopy zigzag's
+    certificate; raises CertificationError unless the stage gaps sum to the
+    witness's gap."""
     w = max(sorted(complex.vertices), key=lambda v: abs(f.values[v] - g.values[v]))
     cost = abs(f.values[w] - g.values[w])
     gaps = tuple(zigzag_cost(ZigzagDiagram([stage])) for stage in z.maps)
@@ -246,7 +248,7 @@ def _certify_homotopy(
         raise CertificationError(
             f"stage gaps sum to {sum(gaps)}, but |f - g| = {cost} at vertex {w}"
         )
-    return HomotopyCertificate(cost, w, gaps)
+    return cost, w, gaps
 
 
 def build_homotopy_zigzag(
@@ -270,5 +272,6 @@ def build_homotopy_zigzag(
         maps.append(
             (induced_map(p_rho, quotients[i]), induced_map(p_rho, quotients[i + 1]))
         )
-    z = ZigzagDiagram(maps, sched.lambdas)
-    return z, _certify_homotopy(complex, f, g, z)
+    z = ZigzagDiagram(maps)
+    cost, w, gaps = _certify_homotopy(complex, f, g, z)
+    return z, HomotopyCertificate(cost, w, gaps, tuple(sched.lambdas))

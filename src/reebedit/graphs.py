@@ -166,18 +166,11 @@ def _smoothable(graph: ReebGraph, n: int) -> bool:
     return len(graph.up_edges(n)) == 1 and len(graph.down_edges(n)) == 1
 
 
-@dataclass
-class MinimalizeResult:
-    graph: ReebGraph
-    node_image: dict[int, GraphPoint]  # old node -> point of the minimal graph
-    edge_image: dict[int, int]  # old edge -> new edge id
-
-
-def minimalize(graph: ReebGraph) -> MinimalizeResult:
+def minimalize(graph: ReebGraph) -> ReebGraph:
     """Remove interior degree-2 nodes, merging their edge pairs.
 
-    The result is isomorphic to the input as a Reeb graph; the returned
-    images record where old nodes and edges land.
+    The result is isomorphic to the input as a Reeb graph and keeps the
+    ids of the nodes that remain.
     """
     keep = [n for n in graph.nodes if not _smoothable(graph, n)]
     if not keep:
@@ -185,36 +178,14 @@ def minimalize(graph: ReebGraph) -> MinimalizeResult:
         # at least one local min and max, which are not smoothable.
         raise ValueError("graph has no extremal node; edges cannot be monotone")
     new_edges: list[tuple[int, int]] = []
-    edge_image: dict[int, int] = {}
-    chain_of_edge: dict[int, list[int]] = {}
-    seen: set[int] = set()
     for n in keep:
         for e in graph.up_edges(n):
-            if e in seen:
-                continue
             # walk upward through smoothable nodes
-            chain = [e]
             cur = graph.edges[e][1]
             while _smoothable(graph, cur):
-                nxt = graph.up_edges(cur)[0]
-                chain.append(nxt)
-                cur = graph.edges[nxt][1]
-            new_id = len(new_edges)
+                cur = graph.edges[graph.up_edges(cur)[0]][1]
             new_edges.append((n, cur))
-            for ce in chain:
-                edge_image[ce] = new_id
-                seen.add(ce)
-            chain_of_edge[new_id] = chain
-    node_values = {n: graph.node_values[n] for n in keep}
-    out = ReebGraph(node_values, new_edges)
-    node_image: dict[int, GraphPoint] = {}
-    for n in graph.nodes:
-        if n in node_values:
-            node_image[n] = GraphPoint(node=n)
-        else:
-            e = graph.up_edges(n)[0]
-            node_image[n] = GraphPoint(edge=edge_image[e], t=graph.node_values[n])
-    return MinimalizeResult(out, node_image, edge_image)
+    return ReebGraph({n: graph.node_values[n] for n in keep}, new_edges)
 
 
 def graph_isomorphic(a: ReebGraph, b: ReebGraph) -> Optional[dict[int, int]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graphs import ReebGraph
 from .plcore import Scalar, Simplex, SimplicialComplex, support_components
@@ -117,16 +117,13 @@ class CellMap:
         self.assignment = assignment
         lv = set(h.values()) | {target.value(n) for n in target.nodes}
         self.levels: list[Scalar] = sorted(lv)
-        self._rank, self.vertex_rank = level_ranks(self.h, self.levels)
+        rank, self.vertex_rank = level_ranks(self.h, self.levels)
         # each target node's level slot
         self.node_slot: dict[int, Slot] = {
-            n: level_slot(self._rank[x]) for n, x in target.node_values.items()
+            n: level_slot(rank[x]) for n, x in target.node_values.items()
         }
 
     # -- level / slot bookkeeping -------------------------------------
-
-    def level_index(self, t: Scalar) -> Optional[int]:
-        return self._rank.get(t)
 
     def slot_of(self, t: Scalar) -> Slot:
         return slot_in(self.levels, t)

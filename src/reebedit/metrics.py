@@ -10,7 +10,7 @@ requested pairs at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -94,12 +94,9 @@ def d_matrix(
                 c = carrier(points[i])
                 if c in present:
                     join(item, c, b)
-                # coincident points on the same carrier entered earlier are
-                # joined through the carrier; identical points give d = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if points[i] == points[j]:
-                best[(i, j)] = ZERO
+                # coincident points join through their carrier, which
+                # entered before them (kind order) in the sweep from their
+                # common value a, so identical points are charged b - a = 0
     return best
 
 
@@ -210,6 +207,8 @@ class DistortionReport:
     defect_fg: Scalar  # ‖f̃ − g̃∘φ‖∞
     defect_gf: Scalar  # ‖f̃∘ψ − g̃‖∞
     tight: bool  # sample maximum certified equal to the supremum
+    # (p1, q1, p2, q2, d_f(p1,p2), d_g(q1,q2)) for every pair of corners
+    rows: tuple[tuple, ...] = field(repr=False)
 
     @property
     def bound(self) -> Scalar:
@@ -245,10 +244,11 @@ def distortion(
     """Exact evaluation of the functional-distortion terms for one map pair.
 
     D is the maximum of ½|d_f(p,p') − d_g(q,q')| over the sampled
-    correspondence G(φ,ψ).  The sample is a certificate (tight=True) when
-    each pairwise d-function is linear between consecutive samples — checked
-    by midpoint evaluation — because coordinatewise-linear functions on a
-    product cell attain their extrema at corners.
+    correspondence G(φ,ψ); the report keeps every sampled pair as a row.
+    The sample is a certificate (tight=True) when each pairwise d-function
+    is linear between consecutive samples — checked by midpoint evaluation —
+    because coordinatewise-linear functions on a product cell attain their
+    extrema at corners.
     """
     samples_f, samples_g, corners = _sampled_corners(phi, psi, density)
 
@@ -270,10 +270,8 @@ def distortion(
         all_f += image
     df = _distances(phi.source, all_f)
     dg = _distances(phi.target, all_g)
-    worst = max(
-        (abs(d1 - d2) for *_, d1, d2 in _corner_rows(corners, df, dg)),
-        default=ZERO,
-    )
+    rows = tuple(_corner_rows(corners, df, dg))
+    worst = max((abs(d1 - d2) for *_, d1, d2 in rows), default=ZERO)
 
     # Tightness: on each gap the candidate set of intervals is constant (the
     # samples include every node-value preimage), so each pairwise d-function
@@ -302,6 +300,7 @@ def distortion(
         phi.value_defect(),
         psi.value_defect(),
         tight,
+        rows,
     )
 
 
@@ -368,17 +367,6 @@ def _edge_gaps(
     return out
 
 
-def correspondence_table(
-    phi: PLGraphMap, psi: PLGraphMap, density: int = 1
-) -> list[tuple[GraphPoint, GraphPoint, GraphPoint, GraphPoint, Scalar, Scalar]]:
-    """Rows (p1, q1, p2, q2, d_f(p1,p2), d_g(q1,q2)) over all sampled
-    correspondence pairs, for export and inspection."""
-    _, _, corners = _sampled_corners(phi, psi, density)
-    df = _distances(phi.source, [p for p, _ in corners])
-    dg = _distances(phi.target, [q for _, q in corners])
-    return list(_corner_rows(corners, df, dg))
-
-
 # -- the cylinder example map pair ------------------------------------------
 
 
@@ -388,8 +376,7 @@ def _cylinder_candidates(cx, f, g):
     upper arc."""
     rf, _ = compute_reeb(cx, f)
     rg, _ = compute_reeb(cx, g)
-    mf = minimalize(rf).graph
-    mg = minimalize(rg).graph
+    mf, mg = minimalize(rf), minimalize(rg)
     return _upper_section(mf, mg), _upper_section(mg, mf)
 
 

@@ -92,7 +92,6 @@ class SimplicialComplex:
                 raise ValueError(f"simplex with repeated vertex: {s}")
         self.simplices: frozenset[Simplex] = frozenset(simps)
         self._facets_cache: Optional[dict[Simplex, list[Simplex]]] = None
-        self._cofaces_cache: Optional[dict[Simplex, list[Simplex]]] = None
         self._connected: Optional[bool] = None
 
     @classmethod
@@ -124,17 +123,10 @@ class SimplicialComplex:
             self._facets_cache[s] = got
         return got
 
-    def cofacets_of(self, s: Simplex) -> list[Simplex]:
-        if self._cofaces_cache is None:
-            cache: dict[Simplex, list[Simplex]] = {t: [] for t in self.simplices}
-            for t in self.simplices:
-                for f in self.facets_of(t):
-                    cache[f].append(t)
-            self._cofaces_cache = cache
-        return self._cofaces_cache[s]
-
     def maximal_simplices(self) -> list[Simplex]:
-        return sorted(s for s in self.simplices if not self.cofacets_of(s))
+        """The simplices that are no other simplex's facet."""
+        facets = {f for s in self.simplices for f in self.facets_of(s)}
+        return sorted(self.simplices - facets)
 
     def components(self) -> list[frozenset[Simplex]]:
         return [frozenset(c) for c in support_components(self, list(self.simplices))]

@@ -66,7 +66,10 @@ def barycentric_subdivision(
         bary_id[s] = next_id
         next_id += 1
 
-    maximal = [s for s in complex.simplices if not complex.cofacets_of(s)]
+    maximal = [
+        s for s in complex.simplices
+        if not any(set(s) < set(t) for t in complex.simplices)
+    ]
     new_simplices: set[Simplex] = set()
 
     def chains(s: Simplex) -> list[list[Simplex]]:

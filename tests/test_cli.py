@@ -154,6 +154,19 @@ def test_bound_point_mode_rejects_a_second_instance(tmp_path, capsys):
     assert "not both" in err
 
 
+def test_bound_point_mode_rejects_a_disconnected_graph(tmp_path, capsys):
+    # the fiber over the point would be the whole graph, and fibers are
+    # connected: no coupling to a point graph exists
+    two = tmp_path / "two_nodes.json"
+    two.write_text(json.dumps({
+        "nodes": [{"id": 0, "value": "0"}, {"id": 1, "value": "1"}],
+        "edges": [],
+    }))
+    code, out, err = _run(capsys, "bound", str(two), "--point", "0")
+    assert (code, out) == (2, "")
+    assert "disconnected" in err
+
+
 def test_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
     from reebedit import editdist
     from reebedit.maps import Certificate, Violation

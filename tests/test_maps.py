@@ -298,7 +298,7 @@ def test_compose_with_identity_is_unchanged_on_values():
     assert verify_reeb_quotient(comp).ok
     assert comp.h == _at_factor_0(_identity_pullback(q), q.h)
     assert graph_isomorphic(
-        minimalize(comp.target).graph, minimalize(r).graph
+        minimalize(comp.target), minimalize(r)
     )
 
 

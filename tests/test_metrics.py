@@ -8,7 +8,6 @@ from reebedit.graphs import GraphPoint, ReebGraph, point_on_edge
 from reebedit.metrics import (
     PLGraphMap,
     _cylinder_candidates,
-    correspondence_table,
     d_f,
     d_matrix,
     distortion,
@@ -96,8 +95,16 @@ def _graph_and_points(seed: int):
 def test_d_matrix_matches_brute_force(seed):
     r, pts = _graph_and_points(seed)
     m = d_matrix(r, pts)
+    want = {}
     for i, j in combinations(range(len(pts)), 2):
-        assert m[(i, j)] == d_f_oracle(r, pts[i], pts[j]), (seed, pts[i], pts[j])
+        want[(i, j)] = d_f_oracle(r, pts[i], pts[j])
+        assert m[(i, j)] == want[(i, j)], (seed, pts[i], pts[j])
+    # with repeats appended, identical points read 0 from the sweep alone
+    index = list(range(len(pts))) + list(range(0, len(pts), 3))
+    m = d_matrix(r, [pts[k] for k in index])
+    for i, j in combinations(range(len(index)), 2):
+        a, b = sorted((index[i], index[j]))
+        assert m[(i, j)] == (0 if a == b else want[(a, b)]), (seed, pts[a], pts[b])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -216,16 +223,15 @@ def test_distortion_rejects_a_psi_between_other_graphs():
     ):
         with pytest.raises(ValueError, match="psi must map the target graph"):
             distortion(phi, bad)
-        with pytest.raises(ValueError, match="psi must map the target graph"):
-            correspondence_table(phi, bad)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_distortion_is_half_the_table_maximum(n):
     phi, psi = _cylinder_candidates(*cylinder(n))
     for density in range(4):
-        rows = correspondence_table(phi, psi, density=density)
-        worst = max(abs(d1 - d2) for *_, d1, d2 in rows)
-        assert 2 * distortion(phi, psi, density=density).distortion == worst
-        for p1, _, p2, _, d1, _ in rows:
+        report = distortion(phi, psi, density=density)
+        worst = max(abs(d1 - d2) for *_, d1, d2 in report.rows)
+        assert 2 * report.distortion == worst
+        for p1, q1, p2, q2, d1, d2 in report.rows:
             assert d1 == d_f(phi.source, p1, p2)
+            assert d2 == d_f(phi.target, q1, q2)

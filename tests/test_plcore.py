@@ -46,7 +46,6 @@ def test_complex_closure_and_faces():
     assert sorted(cx.maximal_simplices()) == [(0, 1, 2), (2, 3)]
     assert cx.dimension == 2
     assert sorted(cx.facets_of((0, 1, 2))) == [(0, 1), (0, 2), (1, 2)]
-    assert (0, 1, 2) in cx.cofacets_of((0, 1))
 
 
 def test_complex_connectivity():
