@@ -3,9 +3,11 @@
 The pullback of p1: X_1 -> R and p2: X_2 -> R is the space of pairs
 (x_1, x_2) with p1(x_1) = p2(x_2).  We enumerate its cells as pairs of
 "pieces" -- closed slabs of maximal simplices lying over a single graph
-cell -- glued by one linear constraint, and compute every cell's vertices
-exactly: a cell is a product of two simplex slices at the ends of its value
-range, so its vertices have a closed form, and so does the set of vertices
+cell -- one of each map over the same cell, glued by one linear
+constraint; pieces over different cells meet only where a pair over one
+node already does (see pullback).  Every cell's vertices are exact: a
+cell is a product of two simplex slices at the ends of its value range,
+so its vertices have a closed form, and so does the set of vertices
 where each of its inequalities is tight.  Cells are triangulated from those
 incidences alone (geometry.pulling_triangulation).  Pullbacks are the only
 limit construction: products are pullbacks over a point, and the limit of
@@ -21,15 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Vector, pulling_triangulation, simplex_slice
-from .graphs import ReebGraph, complexify
-from .maps import (
-    Cell,
-    CellMap,
-    Slot,
-    _same_graph,
-    level_slot,
-    restrict_cellmap,
-)
+from .graphs import complexify
+from .maps import Cell, CellMap, _same_graph, restrict_cellmap
 from .plcore import Scalar, Simplex, SimplicialComplex
 from .reeb import graph_identity_map
 
@@ -48,21 +43,19 @@ class Piece:
     """A closed slab of a maximal simplex lying over one graph cell."""
 
     simplex: Simplex
-    slot: Slot
     cell: Cell
     span: tuple[Scalar, Scalar]
 
 
 @dataclass
 class LimitCell:
-    """The cell over pieces (a, b) of p1 and p2, on their concatenated
-    barycentric coordinates.  Its inequalities, in order: per piece, a then
-    b, x_j >= 0 for each simplex vertex, then lo <= h and h <= hi when the
-    piece's slot is a gap [lo, hi].  faces holds, per inequality, the
-    vertices where it is tight."""
+    """The cell over pieces (a, b) of p1 and p2, which lie over one graph
+    cell, on their concatenated barycentric coordinates.  Its inequalities,
+    in order: per piece, a then b, x_j >= 0 for each simplex vertex, then
+    lo <= h and h <= hi when the piece's span is a gap [lo, hi].  faces
+    holds, per inequality, the vertices where it is tight."""
 
     pieces: tuple[Piece, Piece]
-    mode: tuple  # ("edge", e) or ("node", n): where the two images meet
     vkeys: list[VertexKey]
     faces: list[frozenset[VertexKey]]
 
@@ -79,7 +72,7 @@ def _pieces(m: CellMap) -> list[Piece]:
     # a slab of one map is never empty: slots_of(s) lists only the slots
     # that s's value range meets
     return [
-        Piece(s, slot, m.assignment[s][slot], m.slot_range(slot))
+        Piece(s, m.assignment[s][slot], m.slot_range(slot))
         for s in m.source.maximal_simplices()
         for slot in m.slots_of(s)
     ]
@@ -91,14 +84,14 @@ def _fiber_product_vertices(
     """Sorted vertices of the cell over piece a of p1 and piece b of p2,
     each with its value t.
 
-    Each piece is the slab {x in its simplex : h(x) in its slot range}.  The
-    cell glues the two by h_1(x_a) = h_2(x_b) = t with t in [lo, hi], the
-    intersection of their slot ranges, pinned to the node value for a node
-    mode; lo <= hi.  A point at lo < t < hi is a vertex only if a piece sits
-    at a simplex vertex of value t, and there is none: every vertex value is
-    a level of its map, so no slot range has one strictly inside.  The
-    vertices are therefore the products of the two pieces' slice vertices at
-    t = lo and at t = hi.
+    Each piece is the slab {x in its simplex : h(x) in its span}, and both
+    lie over one graph cell.  The cell glues the two by h_1(x_a) = h_2(x_b)
+    = t with t in [lo, hi], the intersection of their spans; lo <= hi.  A
+    point at lo < t < hi is a vertex only if a piece sits at a simplex
+    vertex of value t, and there is none: every vertex value is a level of
+    its map, so no span has one strictly inside.  The vertices are
+    therefore the products of the two pieces' slice vertices at t = lo and
+    at t = hi.
     """
     ha = [p1.h[v] for v in a.simplex]
     hb = [p2.h[v] for v in b.simplex]
@@ -131,92 +124,67 @@ def _cell_faces(
     return faces
 
 
-def _closure_nodes(g: ReebGraph, c: Cell) -> set[int]:
-    if c[0] == "n":
-        return {c[1]}
-    lo, hi = g.edges[c[1]]
-    return {lo, hi}
-
-
-def _modes(g: ReebGraph, ca: Cell, cb: Cell) -> list[tuple]:
-    """Ways the closed cells ca and cb can share an image point."""
-    if ca == cb and ca[0] == "e":
-        return [("edge", ca[1])]
-    return [("node", n) for n in sorted(_closure_nodes(g, ca) & _closure_nodes(g, cb))]
-
-
-def _meet(
-    a: tuple[Scalar, Scalar], b: tuple[Scalar, Scalar]
-) -> tuple[Scalar, Scalar]:
-    """Intersection of two closed intervals; empty when lo > hi."""
-    return max(a[0], b[0]), min(a[1], b[1])
-
-
-def _carrier(m: CellMap, p: Piece, mode: tuple, lo: Scalar, hi: Scalar) -> Simplex:
+def _carrier(m: CellMap, p: Piece, lo: Scalar, hi: Scalar) -> Simplex:
     """The face of p's simplex that its slices at lo and hi span: the face
-    at lo when lo == hi is an end of the simplex's levels, else the simplex."""
-    node = mode[0] == "node"
-    slot = m.node_slot[mode[1]] if node else p.slot if lo < hi else m.slot_of(lo)
-    ranks = [level_slot(m.vertex_rank[v]) for v in p.simplex]
-    if min(ranks) < slot < max(ranks):
+    of its vertices at lo when lo == hi is an end of their values, else the
+    simplex."""
+    values = [m.h[v] for v in p.simplex]
+    if lo < hi or min(values) < lo < max(values):
         return p.simplex
-    return tuple(v for v, r in zip(p.simplex, ranks) if r == slot)
+    return tuple(v for v, t in zip(p.simplex, values) if t == lo)
 
 
 def pullback(p1: CellMap, p2: CellMap) -> LimitCellComplex:
     """Fiber product of p1 and p2 over their common target graph.
 
-    Cells come in the order of p1's pieces, then p2's pieces, then the
-    modes of each pair; only pairs whose cells' closures share a node are
-    visited.  A cell whose vertex set repeats an earlier one is skipped
-    before its vertices are built, by the key (carrier of a, carrier of b,
-    lo, hi).  The key fixes the vertex set: products of the slices at lo
-    and at hi, which depend only on the carriers.  The vertex set fixes the
-    key: lo and hi are its extreme values, and a carrier is the union of
-    its factor's supports, since a slice strictly inside a simplex's value
+    A piece of p1 is paired only with the pieces of p2 over the same graph
+    cell, and cells come in the order of p1's pieces, then p2's.  No other
+    pair adds a cell.  In a well-formed map a node cell is assigned only at
+    its node's level slot, so both pieces of a pair over one node sit at
+    that node's value.  Pieces over different cells can meet only at a node
+    n in both cells' closures.  The value of n is a level of both maps, so
+    it is an end of both slabs, and by the incidence axiom both simplices
+    have a level piece there whose cell is n.  That pair has the same
+    carriers and the same value range, so it already yields the same cell.
+
+    A cell whose vertex set repeats an earlier one is skipped before its
+    vertices are built, by the key (carrier of a, carrier of b, lo, hi).
+    The key fixes the vertex set: products of the slices at lo and at hi,
+    which depend only on the carriers.  The vertex set fixes the key: lo
+    and hi are its extreme values, and a carrier is the union of its
+    factor's supports, since a slice strictly inside a simplex's value
     range meets every vertex and no vertex value lies strictly inside a
-    slot.  Past CELL_BUDGET cells the enumeration raises RuntimeError.
+    span.  Past CELL_BUDGET cells the enumeration raises RuntimeError.
     """
     if not _same_graph(p1.target, p2.target):
         raise ValueError("pullback requires a common target")
-    g = p2.target
-    pieces2 = _pieces(p2)
-    # per node, the indices of p2's pieces whose cell's closure holds it:
-    # _modes is empty unless the closures of the two cells share a node
-    near: dict[int, set[int]] = {n: set() for n in g.nodes}
-    for i, b in enumerate(pieces2):
-        for n in _closure_nodes(g, b.cell):
-            near[n].add(i)
+    over: dict[Cell, list[Piece]] = {}
+    for b in _pieces(p2):
+        over.setdefault(b.cell, []).append(b)
     cells: list[LimitCell] = []
     seen: set[tuple] = set()
     for a in _pieces(p1):
         d = len(a.simplex)
-        for i in sorted(set().union(*(near[n] for n in _closure_nodes(g, a.cell)))):
-            b = pieces2[i]
-            for mode in _modes(g, a.cell, b.cell):
-                lo, hi = _meet(a.span, b.span)
-                if mode[0] == "node":
-                    lo, hi = _meet((lo, hi), (g.value(mode[1]),) * 2)
-                if lo > hi:
-                    continue
-                key = (
-                    _carrier(p1, a, mode, lo, hi), _carrier(p2, b, mode, lo, hi), lo, hi
+        for b in over.get(a.cell, ()):
+            lo, hi = max(a.span[0], b.span[0]), min(a.span[1], b.span[1])
+            if lo > hi:
+                continue
+            key = (_carrier(p1, a, lo, hi), _carrier(p2, b, lo, hi), lo, hi)
+            if key in seen:
+                continue
+            seen.add(key)
+            verts = _fiber_product_vertices(p1, p2, a, b, lo, hi)
+            vkeys: list[VertexKey] = [
+                (
+                    tuple((v, x) for v, x in zip(a.simplex, pt[:d]) if x != 0),
+                    tuple((v, x) for v, x in zip(b.simplex, pt[d:]) if x != 0),
                 )
-                if key in seen:
-                    continue
-                seen.add(key)
-                verts = _fiber_product_vertices(p1, p2, a, b, lo, hi)
-                vkeys: list[VertexKey] = [
-                    (
-                        tuple((v, x) for v, x in zip(a.simplex, pt[:d]) if x != 0),
-                        tuple((v, x) for v, x in zip(b.simplex, pt[d:]) if x != 0),
-                    )
-                    for pt, _ in verts
-                ]
-                faces = _cell_faces(a, b, vkeys, [t for _, t in verts])
-                cells.append(LimitCell((a, b), mode, vkeys, faces))
-                if len(cells) > CELL_BUDGET:
-                    raise RuntimeError("limit cell budget exceeded")
+                for pt, _ in verts
+            ]
+            faces = _cell_faces(a, b, vkeys, [t for _, t in verts])
+            cells.append(LimitCell((a, b), vkeys, faces))
+            if len(cells) > CELL_BUDGET:
+                raise RuntimeError("limit cell budget exceeded")
 
     vertex_ids = {
         key: i for i, key in enumerate(sorted({k for c in cells for k in c.vkeys}))

@@ -260,8 +260,12 @@ def build_homotopy_zigzag(
     at the stage midpoints, and the maps are induced by the shared source
     (induced_map).  Its cost equals ||f - g||_infinity exactly (the source
     paper's stability argument, d_E(R_f, R_g) <= ||f - g||); the returned
-    certificate carries both bounds (see HomotopyCertificate).
+    certificate carries both bounds (see HomotopyCertificate).  f and g
+    must both be defined on complex (their complexes have its simplices),
+    else it raises ValueError.
     """
+    if any(fn.complex.simplices != complex.simplices for fn in (f, g)):
+        raise ValueError("f and g must both be defined on the complex")
     if not complex.is_connected():
         raise ValueError("the homotopy construction needs a connected complex")
     sched = homotopy_breakpoints(complex, f, g)

@@ -117,7 +117,7 @@ class CellMap:
         self.assignment = assignment
         lv = set(h.values()) | {target.value(n) for n in target.nodes}
         self.levels: list[Scalar] = sorted(lv)
-        rank, self.vertex_rank = level_ranks(self.h, self.levels)
+        rank, self._vertex_rank = level_ranks(self.h, self.levels)
         # each target node's level slot
         self.node_slot: dict[int, Slot] = {
             n: level_slot(rank[x]) for n, x in target.node_values.items()
@@ -135,7 +135,7 @@ class CellMap:
         return self.levels[i], self.levels[i + gap]
 
     def slots_of(self, s: Simplex) -> range:
-        return rank_slots(self.vertex_rank, s)
+        return rank_slots(self._vertex_rank, s)
 
     def slots_over(self, levels: Sequence[Scalar]) -> list[range]:
         """The run of this map's slots met by each slot of other sorted

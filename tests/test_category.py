@@ -46,7 +46,7 @@ def test_pullback_projections_certified_and_connected(seed):
 
 
 def _limit_contents(L):
-    cells = [(c.pieces, c.mode, c.vkeys, c.faces) for c in L.cells]
+    cells = [(c.pieces, c.vkeys, c.faces) for c in L.cells]
     return cells, L.vertex_ids, L.locations
 
 
@@ -121,13 +121,15 @@ def _vertices_in_range(p1, p2, a, b, lo, hi):
     return polytope_vertices(len(ha), eqs, ineqs)
 
 
-def _vertices_of_mode(p1, p2, a, b, mode):
-    # the same from the cell's mode: glued along an edge, or both at a node
+def _vertices_over_cell(p1, p2, a, b):
+    # the same from the graph cell the two pieces lie over: glued along an
+    # edge, or both at a node's value
+    (cell,) = {a.cell, b.cell}
     eqs, ha, hb = _cell_eqs(p1, p2, a, b)
-    if mode[0] == "edge":
+    if cell[0] == "e":
         eqs.append((tuple(x - y for x, y in zip(ha, hb)), F(0)))
     else:
-        val = p2.target.value(mode[1])
+        val = p2.target.value(cell[1])
         eqs += [(tuple(ha), val), (tuple(hb), val)]
     return polytope_vertices(len(ha), eqs, _cell_ineqs(p1, p2, a, b))
 
@@ -167,17 +169,26 @@ def test_fiber_product_cells_match_polytope_vertices_property(seed, nverts, kind
 
 
 def _cells_trying_every_triple(p1, p2):
-    # pullback's enumeration without its skip: every (piece, piece, mode)
-    # triple builds its vertices, and a cell whose vertex set repeats an
-    # earlier one is dropped
+    # the reference enumeration: every pair of pieces whose cells' closures
+    # share a node, once per way the two closed cells meet (along one edge,
+    # or at a shared node, pinned to its value), builds its vertices, and a
+    # cell whose vertex set repeats an earlier one is dropped
     g = p2.target
+
+    def closure(c):
+        return {c[1]} if c[0] == "n" else set(g.edges[c[1]])
+
     cells, seen = [], set()
     for a in category._pieces(p1):
         for b in category._pieces(p2):
-            for mode in category._modes(g, a.cell, b.cell):
+            if a.cell == b.cell and a.cell[0] == "e":
+                meetings = [None]
+            else:
+                meetings = sorted(closure(a.cell) & closure(b.cell))
+            for n in meetings:
                 lo, hi = max(a.span[0], b.span[0]), min(a.span[1], b.span[1])
-                if mode[0] == "node":
-                    val = g.value(mode[1])
+                if n is not None:
+                    val = g.value(n)
                     if not lo <= val <= hi:
                         continue
                     lo = hi = val
@@ -187,18 +198,41 @@ def _cells_trying_every_triple(p1, p2):
                 vkeys = [_vertex_key(a, b, pt) for pt, _ in verts]
                 if frozenset(vkeys) not in seen:
                     seen.add(frozenset(vkeys))
-                    cells.append(((a, b), mode, vkeys))
-    return cells
+                    values = [t for _, t in verts]
+                    faces = category._cell_faces(a, b, vkeys, values)
+                    cells.append(category.LimitCell((a, b), vkeys, faces))
+    keys = sorted({k for c in cells for k in c.vkeys})
+    vertex_ids = {k: i for i, k in enumerate(keys)}
+    locations = {i: (dict(k[0]), dict(k[1])) for k, i in vertex_ids.items()}
+    return category.LimitCellComplex(cells, vertex_ids, locations)
 
 
 @settings(max_examples=30, deadline=None)
 @given(**pair_kinds)
 def test_pullback_skip_keeps_the_cells_of_every_triple_property(seed, nverts, kind):
-    # skipping a triple whose simplices and value range repeat an earlier
-    # one's keeps the same cells, in the same order
+    # pairing pieces over one graph cell and skipping a pair whose
+    # simplices and value range repeat an earlier one's keeps the cells of
+    # every meeting of every pair: the same vertex sets, none repeated, and
+    # the same triangulation; the cells' order is not compared
     p1, p2 = _pullback_pair(seed, nverts, kind)
-    cells = [(c.pieces, c.mode, c.vkeys) for c in pullback(p1, p2).cells]
-    assert cells == _cells_trying_every_triple(p1, p2)
+    L = pullback(p1, p2)
+    oracle = _cells_trying_every_triple(p1, p2)
+    vertex_sets = [frozenset(c.vkeys) for c in L.cells]
+    assert len(set(vertex_sets)) == len(vertex_sets)
+    assert set(vertex_sets) == {frozenset(c.vkeys) for c in oracle.cells}
+    assert L.vertex_ids == oracle.vertex_ids
+    T, T_oracle = triangulate_limit(L), triangulate_limit(oracle)
+    assert T.complex == T_oracle.complex
+    assert T.supports == T_oracle.supports
+
+
+@settings(max_examples=30, deadline=None)
+@given(**pair_kinds)
+def test_pullback_pairs_pieces_over_one_graph_cell_property(seed, nverts, kind):
+    p1, p2 = _pullback_pair(seed, nverts, kind)
+    for cell in pullback(p1, p2).cells:
+        a, b = cell.pieces
+        assert a.cell == b.cell, (a, b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -207,9 +241,9 @@ def test_cell_faces_and_triangulation_match_geometric_oracle_property(
     seed, nverts, kind
 ):
     # per kept cell: its vertices against polytope_vertices on the cell's
-    # equations for its mode, its faces against exact dot products of its
-    # inequalities there, and the simplices triangulate_limit cuts it into,
-    # in order, against the geometric scan
+    # equations over its graph cell, its faces against exact dot products of
+    # its inequalities there, and the simplices triangulate_limit cuts it
+    # into, in order, against the geometric scan
     p1, p2 = _pullback_pair(seed, nverts, kind)
     L = pullback(p1, p2)
     calls = []
@@ -227,7 +261,7 @@ def test_cell_faces_and_triangulation_match_geometric_oracle_property(
         ineqs = _cell_ineqs(p1, p2, a, b)
         verts = {
             _vertex_key(a, b, pt): pt
-            for pt in _vertices_of_mode(p1, p2, a, b, cell.mode)
+            for pt in _vertices_over_cell(p1, p2, a, b)
         }
         assert cell.vkeys == list(verts)
         assert cell.faces == tight_sets(verts, ineqs)

@@ -25,7 +25,7 @@ from reebedit.generators import cylinder, random_instance
 from reebedit.graphs import ReebGraph
 from reebedit.category import induced_map
 from reebedit.maps import CertificationError, verify_reeb_quotient
-from reebedit.plcore import PLFunction
+from reebedit.plcore import PLFunction, SimplicialComplex
 from reebedit.reeb import compute_reeb, graph_identity_map
 
 from oracles import range_of
@@ -350,3 +350,52 @@ def test_homotopy_zigzag_identical_functions_costs_zero():
     assert cert.stage_gaps == (F(0),)
     assert len(z.graphs) == 2  # no interior breakpoints
 
+
+def test_homotopy_zigzag_rejects_a_function_on_another_complex():
+    # f2 is defined on a larger complex, and short on cx without vertex 3:
+    # neither is a function on cx, in either place
+    cx, f, _ = random_instance(1, nverts=4, second_function=True)
+    _, f2, _ = random_instance(2, nverts=5)
+    sub = SimplicialComplex.from_simplices([s for s in cx.simplices if 3 not in s])
+    short = PLFunction(sub, {v: f(v) for v in sub.vertices})
+    for g in (f2, short):
+        for pair in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="both be defined on the complex"):
+                build_homotopy_zigzag(cx, *pair)
+
+
+def _coupling_bounds(cx, fs):
+    # the bounds of the couplings (f, g) and (g, h) and of their composite
+    pf, pg, ph = (compute_reeb(cx, fn)[1] for fn in fs)
+    c1, c2 = coupling(pf, pg), coupling(pg, ph)
+    c13 = compose_couplings(c1, c2)
+    return coupling_bound(c1), coupling_bound(c2), coupling_bound(c13)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), nverts=st.integers(3, 5))
+def test_compose_couplings_bound_is_invariant_property(seed, nverts):
+    # the bounds do not change when the vertices are relabelled (which
+    # reorders every pullback's pieces) or every function is negated, and
+    # scale by a when every function f becomes a f + b
+    cx, f, g = random_instance(seed, nverts=nverts, triangles=1, second_function=True)
+    rng = random.Random(seed)
+    h = PLFunction(
+        cx, {v: F(rng.randint(-8, 8), rng.randint(1, 3)) for v in cx.vertices}
+    )
+    fs = (f, g, h)
+    bounds = _coupling_bounds(cx, fs)
+    label = dict(zip(cx.vertices, rng.sample(range(2 * nverts), nverts)))
+    relabelled = SimplicialComplex.from_simplices(
+        tuple(sorted(label[v] for v in s)) for s in cx.maximal_simplices()
+    )
+    moved = [
+        PLFunction(relabelled, {label[v]: x for v, x in fn.values.items()})
+        for fn in fs
+    ]
+    assert _coupling_bounds(relabelled, moved) == bounds
+    negated = [PLFunction(cx, {v: -x for v, x in fn.values.items()}) for fn in fs]
+    assert _coupling_bounds(cx, negated) == bounds
+    a, b = F(3, 2), F(-7, 3)
+    affine = [PLFunction(cx, {v: a * x + b for v, x in fn.values.items()}) for fn in fs]
+    assert _coupling_bounds(cx, affine) == tuple(a * x for x in bounds)

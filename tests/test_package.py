@@ -38,3 +38,34 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted(Path(reebedit.__file__).parent.glob("*.py"))
     paths += sorted(Path(__file__).parent.glob("*.py"))
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _unread_private_names(paths: list[Path]) -> list[str]:
+    """Module-level private names defined in any of the modules at paths
+    that no module among them ever reads."""
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{where} {name}" for name, where in defined.items() if name not in read)
+
+
+def test_every_private_name_of_the_library_is_read_in_the_library():
+    paths = sorted(Path(reebedit.__file__).parent.glob("*.py"))
+    assert _unread_private_names(paths) == []
