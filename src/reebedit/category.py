@@ -73,7 +73,7 @@ def _pieces(m: CellMap) -> list[Piece]:
     # that s's value range meets
     return [
         Piece(s, m.assignment[s][slot], m.slot_range(slot))
-        for s in m.source.maximal_simplices()
+        for s in m.source.maximal_simplices
         for slot in m.slots_of(s)
     ]
 
@@ -297,25 +297,24 @@ def induced_map(p_f: CellMap, p_g: CellMap) -> CellMap:
     for lo, hi in zip(p_f.levels, p_f.levels[1:]):
         if xi[lo] > xi[hi]:
             raise ValueError(f"reparametrization decreases from level {lo} to {hi}")
-    gc = complexify(p_f.target)
-    for e, w in gc.mid_vertex.items():
-        if p_f.slot_range(p_f.slot_of(gc.values[w])) != p_f.target.edge_range(e):
+    r, slot = p_f.target, p_f.node_slot
+    for e, (lo, hi) in enumerate(r.edges):
+        if slot[hi] - slot[lo] != 2:  # end levels are consecutive
             raise ValueError(f"edge {e} spans more than one gap of the levels")
     # every cell of R_f lies over one slot, so the first simplex whose
     # assignment names it is the first simplex over it
     host: dict[Cell, Simplex] = {}
-    for sig in p_f.source.maximal_simplices():
+    for sig in p_f.source.maximal_simplices:
         for cell in p_f.assignment[sig].values():
             host.setdefault(cell, sig)
+    gc = complexify(r)
     for cell in gc.host.values():
         if cell not in host:
             raise ValueError(f"no source simplex maps onto {cell}")
-    ends = {w: p_f.target.edge_range(e) for e, w in gc.mid_vertex.items()}
-    h = {
-        w: Fraction(xi[ends[w][0]] + xi[ends[w][1]], 2)
-        if w in ends
-        else xi[gc.values[w]]
-        for w in gc.complex.vertices
-    }
+    # vertex ids ascending: complexify numbers the nodes, then the midpoints
+    h = {gc.node_vertex[n]: xi[r.value(n)] for n in r.nodes}
+    for e, w in gc.mid_vertex.items():
+        lo, hi = r.edge_range(e)
+        h[w] = Fraction(xi[lo] + xi[hi], 2)
     hosts = {s: host[gc.host[s]] for s in gc.complex.simplices}
     return restrict_cellmap(p_g, gc.complex, h, hosts)

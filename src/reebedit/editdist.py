@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .category import (
@@ -201,17 +202,15 @@ def homotopy_breakpoints(
     is constant, so a stage midpoint's levels go weakly increasingly to
     either end's values, as induced_map requires.
     """
-    verts = sorted(complex.vertices)
     crossings: set[Scalar] = set()
-    for i, v in enumerate(verts):
-        for w in verts[i + 1 :]:
-            df = f.values[v] - f.values[w]
-            dg = g.values[v] - g.values[w]
-            if df == dg:
-                continue
-            t = Fraction(df, df - dg)
-            if ZERO < t < ONE:
-                crossings.add(t)
+    for v, w in combinations(complex.vertices, 2):
+        df = f.values[v] - f.values[w]
+        dg = g.values[v] - g.values[w]
+        if df == dg:
+            continue
+        t = Fraction(df, df - dg)
+        if ZERO < t < ONE:
+            crossings.add(t)
     lambdas = sorted({ZERO, ONE} | crossings)
     rhos = [(a + b) / 2 for a, b in zip(lambdas, lambdas[1:])]
     return HomotopySchedule(lambdas, rhos)
@@ -241,7 +240,7 @@ def _certify_homotopy(
     """The cost, witness vertex and stage gaps of a homotopy zigzag's
     certificate; raises CertificationError unless the stage gaps sum to the
     witness's gap."""
-    w = max(sorted(complex.vertices), key=lambda v: abs(f.values[v] - g.values[v]))
+    w = max(complex.vertices, key=lambda v: abs(f.values[v] - g.values[v]))
     cost = abs(f.values[w] - g.values[w])
     gaps = tuple(zigzag_cost(ZigzagDiagram([stage])) for stage in z.maps)
     if sum(gaps) != cost:
@@ -262,12 +261,10 @@ def build_homotopy_zigzag(
     paper's stability argument, d_E(R_f, R_g) <= ||f - g||); the returned
     certificate carries both bounds (see HomotopyCertificate).  f and g
     must both be defined on complex (their complexes have its simplices),
-    else it raises ValueError.
+    and compute_reeb needs it connected; else it raises ValueError.
     """
     if any(fn.complex.simplices != complex.simplices for fn in (f, g)):
         raise ValueError("f and g must both be defined on the complex")
-    if not complex.is_connected():
-        raise ValueError("the homotopy construction needs a connected complex")
     sched = homotopy_breakpoints(complex, f, g)
     quotients = [compute_reeb(complex, interpolate(f, g, t))[1] for t in sched.lambdas]
     maps: list[tuple[CellMap, CellMap]] = []

@@ -9,7 +9,8 @@ one per open gap between consecutive levels it spans.  All verification
 finite data.
 
 A slot is an int: 2i is level i and 2i+1 the open gap (level i, level i+1).
-Only this module knows that encoding; everything else asks
+Only this module knows that encoding, but for one fact: consecutive levels
+are two slots apart (`category.induced_map`); everything else asks
 `CellMap.slot_range` for a slot's value interval.  Assignments are built on
 slots: an edge cell is snapped to its end node by comparing slots
 (`CellMap.snap`), and a map is re-read on a complex whose simplices have
@@ -125,9 +126,6 @@ class CellMap:
 
     # -- level / slot bookkeeping -------------------------------------
 
-    def slot_of(self, t: Scalar) -> Slot:
-        return slot_in(self.levels, t)
-
     def slot_range(self, slot: Slot) -> tuple[Scalar, Scalar]:
         """Value interval of a slot: lo == hi exactly for a level, and the
         open gap (lo, hi) otherwise."""
@@ -192,15 +190,23 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
     its endpoints' level slots; an edge cell is well-formed at a slot
     exactly when the slot lies strictly inside that span.  Each fiber is
     read from a (slot, cell) -> simplices index built in one pass, so no
-    check rescans the source."""
+    check rescans the source.
+
+    The source's connectivity needs no check: these checks imply it.
+    Every simplex lies in the fiber of each of its (slot, cell) pairs, and
+    every well-formed pair's fiber is checked nonempty and connected.  A simplex over a gap
+    of edge e spans it, so by the incidence axiom it also lies in the
+    fibers over the neighboring levels, with cells snap(e, level): fibers
+    of adjacent strata share a simplex.  Along each edge the strata run
+    from its lower node's level to its upper node's, so a connected target
+    links every stratum, and hence every simplex.
+    """
     bad: list[Violation] = []
     g = m.target
     node_slot = m.node_slot
     span = [(node_slot[lo], node_slot[hi]) for lo, hi in g.edges]
 
     # structural well-formedness
-    if not m.source.is_connected():
-        bad.append(Violation("connected-source", "source complex is disconnected"))
     if not g.is_connected():
         bad.append(Violation("connected-target", "target graph is disconnected"))
     for s in m.source.simplices:
@@ -234,7 +240,7 @@ def verify_reeb_quotient(m: CellMap) -> Certificate:
                         )
                     )
         # face compatibility
-        for f in m.source.facets_of(s):
+        for f in m.source.facets[s]:
             for slot in m.slots_of(f):
                 if m.assignment[f].get(slot) != per.get(slot):
                     bad.append(

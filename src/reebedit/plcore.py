@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
@@ -82,7 +83,9 @@ class SimplicialComplex:
 
     Simplices are stored as sorted vertex tuples of every dimension,
     including the vertices themselves.  The complex is face-closed by
-    construction when built through :meth:`from_simplices`.
+    construction when built through :meth:`from_simplices`.  It never
+    changes, so its sorted vertices, facet table, maximal simplices and
+    connectivity are each computed once, on first use.
     """
 
     def __init__(self, simplices: Iterable[Simplex]):
@@ -91,8 +94,6 @@ class SimplicialComplex:
             if len(set(s)) != len(s):
                 raise ValueError(f"simplex with repeated vertex: {s}")
         self.simplices: frozenset[Simplex] = frozenset(simps)
-        self._facets_cache: Optional[dict[Simplex, list[Simplex]]] = None
-        self._connected: Optional[bool] = None
 
     @classmethod
     def from_simplices(cls, maximal: Iterable[Simplex]) -> "SimplicialComplex":
@@ -104,36 +105,36 @@ class SimplicialComplex:
                 closed.update(combinations(s, k))
         return cls(closed)
 
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(v for (v,) in (s for s in self.simplices if len(s) == 1))
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(s[0] for s in self.simplices if len(s) == 1))
 
     @property
     def dimension(self) -> int:
         return max(len(s) for s in self.simplices) - 1
 
-    def facets_of(self, s: Simplex) -> list[Simplex]:
-        """Codimension-1 faces of s that are present in the complex."""
-        if self._facets_cache is None:
-            self._facets_cache = {}
-        got = self._facets_cache.get(s)
-        if got is None:
-            got = [s[:i] + s[i + 1:] for i in range(len(s))] if len(s) > 1 else []
-            got = [f for f in got if f in self.simplices]
-            self._facets_cache[s] = got
-        return got
+    @cached_property
+    def facets(self) -> dict[Simplex, list[Simplex]]:
+        """Per simplex, its codimension-1 faces that are in the complex."""
+        cx = self.simplices
+        return {
+            s: [f for i in range(len(s)) if (f := s[:i] + s[i + 1 :]) in cx] for s in cx
+        }
 
-    def maximal_simplices(self) -> list[Simplex]:
-        """The simplices that are no other simplex's facet."""
-        facets = {f for s in self.simplices for f in self.facets_of(s)}
-        return sorted(self.simplices - facets)
+    @cached_property
+    def maximal_simplices(self) -> tuple[Simplex, ...]:
+        """The simplices that are no other simplex's facet, sorted."""
+        faces = {f for fs in self.facets.values() for f in fs}
+        return tuple(sorted(self.simplices - faces))
 
     def components(self) -> list[frozenset[Simplex]]:
         return [frozenset(c) for c in support_components(self, list(self.simplices))]
 
+    @cached_property
+    def _connected(self) -> bool:
+        return len(self.components()) <= 1
+
     def is_connected(self) -> bool:
-        if self._connected is None:
-            self._connected = len(self.components()) <= 1
         return self._connected
 
     def __contains__(self, s) -> bool:
@@ -183,7 +184,7 @@ def support_components(
     uf = UnionFind(support)
     sel = set(support)
     for s in support:
-        for face in complex.facets_of(s):
+        for face in complex.facets[s]:
             if face in sel:
                 uf.union(s, face)
     return list(uf.groups().values())

@@ -19,7 +19,7 @@ def instance_to_dict(cx: SimplicialComplex, f: PLFunction) -> dict:
     return {
         "vertices": [
             {"id": v, "value": format_scalar(f.values[v])}
-            for v in sorted(cx.vertices)
+            for v in cx.vertices
         ],
         "simplices": [list(s) for s in cx.simplices if len(s) > 1],
     }

@@ -2,7 +2,8 @@
 
 None of this is called by the library.  The preimage components and the
 barycentric subdivision check the Reeb sweep and its invariance under
-refinement; the pointwise images read a quotient map at one value of one
+refinement, and a vertex relabelling feeds the metamorphic tests; the
+pointwise images read a quotient map at one value of one
 simplex, to check induced maps and restrictions point by point; the exact
 linear algebra and the general H-polytope vertex enumeration
 `polytope_vertices` (every d-subset of tight inequalities, C(m, d) solves)
@@ -16,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from reebedit.geometry import Vector
 from reebedit.graphs import GraphComplex, GraphPoint, point_on_edge
-from reebedit.maps import Cell, CellMap
+from reebedit.maps import Cell, CellMap, slot_in
 from reebedit.plcore import (
     PLFunction,
     Simplex,
@@ -99,12 +100,27 @@ def barycentric_subdivision(
 # -- pointwise images of quotient maps ---------------------------------------
 
 
+def relabelled(
+    cx: SimplicialComplex, fns: Sequence[PLFunction], rng
+) -> tuple[SimplicialComplex, list[PLFunction]]:
+    """cx and the functions fns on it under a random injective relabelling
+    of the vertices, drawn from rng."""
+    n = len(cx.vertices)
+    label = dict(zip(cx.vertices, rng.sample(range(2 * n), n)))
+    moved = SimplicialComplex.from_simplices(
+        tuple(label[v] for v in s) for s in cx.maximal_simplices
+    )
+    return moved, [
+        PLFunction(moved, {label[v]: x for v, x in fn.values.items()}) for fn in fns
+    ]
+
+
 def cell_at(m: CellMap, s: Simplex, t: Fraction) -> Cell:
     """Graph cell containing the image of (the part of) s at value t."""
     lo, hi = range_of(m.h, s)
     if not lo <= t <= hi:
         raise ValueError(f"simplex {s} does not meet value {t}")
-    return m.assignment[s][m.slot_of(t)]
+    return m.assignment[s][slot_in(m.levels, t)]
 
 
 def point_of_cell(m: CellMap, cell: Cell, t: Fraction) -> GraphPoint:

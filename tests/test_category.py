@@ -436,7 +436,7 @@ def test_induced_map_commutes_with_quotients_property(seed, nverts, kind):
         m = induced_map(p_f, p_g)
         xi = {p_f.h[v]: p_g.h[v] for v in p_f.source.vertices}
         gc = complexify(p_f.target)
-        for s in p_f.source.maximal_simplices():
+        for s in p_f.source.maximal_simplices:
             for slot in p_f.slots_of(s):
                 lo, hi = p_f.slot_range(slot)
                 u = (lo + hi) / 2

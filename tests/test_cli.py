@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from reebedit.cli import main
 from reebedit.generators import random_instance
+from reebedit.plcore import format_scalar
 from reebedit.reeb import compute_reeb
 from reebedit.serialize import graph_to_dict, instance_to_dict
 
@@ -120,6 +121,45 @@ def test_metric_rejects_edge_ids_out_of_range(tmp_path, capsys):
         assert err == f"error: no edge {edge}\n"
 
 
+def test_metric_reads_a_point_on_an_edge(tmp_path, capsys):
+    f_path, _ = _cyl_files(tmp_path, capsys)
+    r_path = tmp_path / "rf.json"
+    _run(capsys, "reeb", f_path, "-o", str(r_path))
+    graph = json.loads(r_path.read_text())
+    value = {n["id"]: eval_frac(n["value"]) for n in graph["nodes"]}
+    lo, hi = graph["edges"][0]
+    mid = (value[lo] + value[hi]) / 2
+    point = f"e0@{format_scalar(mid)}"
+    code, out, _ = _run(capsys, "metric", str(r_path), point, f"n{lo}")
+    assert code == 0
+    assert eval_frac(out.strip()) == mid - value[lo]
+    # a value at an end of the edge is that end node
+    for end in (lo, hi):
+        at_end = f"e0@{format_scalar(value[end])}"
+        for other in (lo, hi):
+            _, by_edge, _ = _run(capsys, "metric", str(r_path), at_end, f"n{other}")
+            _, by_node, _ = _run(capsys, "metric", str(r_path), f"n{end}", f"n{other}")
+            assert by_edge == by_node
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ("n99", "error: no node 99\n"),
+        ("x1", "error: point syntax: n<id> or e<edge>@<value>, got 'x1'\n"),
+        ("e0", "error: point syntax: n<id> or e<edge>@<value>, got 'e0'\n"),
+    ],
+)
+def test_metric_rejects_a_missing_node_and_malformed_points(
+    point, message, tmp_path, capsys
+):
+    f_path, _ = _cyl_files(tmp_path, capsys)
+    r_path = tmp_path / "rf.json"
+    _run(capsys, "reeb", f_path, "-o", str(r_path))
+    code, out, err = _run(capsys, "metric", str(r_path), "n0", point)
+    assert (code, out, err) == (2, "", message)
+
+
 def eval_frac(s: str):
     from fractions import Fraction
 
@@ -177,6 +217,21 @@ def test_failed_certificate_exits_1(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, "bound", f_path, g_path)
     assert (code, out) == (1, "")
     assert "[fiber] split fiber" in err
+
+
+def test_failed_reeb_certificate_exits_1_before_writing(tmp_path, capsys, monkeypatch):
+    from reebedit import cli
+    from reebedit.maps import Certificate, Violation
+
+    failed = Certificate(False, (), (Violation("fiber", "split fiber"),))
+    monkeypatch.setattr(cli, "verify_reeb_quotient", lambda m: failed)
+    f_path, _ = _cyl_files(tmp_path, capsys)
+    r_path = tmp_path / "rf.json"
+    code, out, err = _run(capsys, "reeb", f_path, "--certify", "-o", str(r_path))
+    assert (code, out, err) == (1, "FAILED:\n[fiber] split fiber\n", "")
+    assert not r_path.exists()
+    code, out, _ = _run(capsys, "reeb", f_path, "--certify")
+    assert (code, out) == (1, "FAILED:\n[fiber] split fiber\n")
 
 
 def test_distortion_command(tmp_path, capsys):

@@ -17,6 +17,8 @@ from reebedit.cli import main
 COMMANDS = [
     "generate cylinder -n 8 -o f.json --second-output g.json",
     "generate random --seed 3 --nverts 5 -o r0.json --second-output r1.json",
+    "generate path -n 3 -o p.json",
+    "generate point --value 1/2 -o pt.json",
     "reeb f.json",
     "reeb f.json -o rf.json",
     "reeb f.json --dot",
@@ -31,13 +33,15 @@ COMMANDS = [
     "distortion -n 6 --density 4 --csv table4.csv",
 ]
 WRITTEN = [
-    "f.json", "g.json", "r0.json", "r1.json", "rf.json",
+    "f.json", "g.json", "r0.json", "r1.json", "p.json", "pt.json", "rf.json",
     "witness.json", "witness_r.json", "table.csv", "table4.csv",
 ]
 
 DIGESTS = {
     "generate cylinder -n 8 -o f.json --second-output g.json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "generate random --seed 3 --nverts 5 -o r0.json --second-output r1.json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "generate path -n 3 -o p.json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "generate point --value 1/2 -o pt.json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reeb f.json": "ffc9a96906bf6b5b9a649677ab0e9d5bd61bcfd41398b584707012d271b09538",
     "reeb f.json -o rf.json": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "reeb f.json --dot": "c24fd93e9310caeb3f92b7df3c43019155db28d58863450c1e3fe0f0f781fccd",
@@ -54,6 +58,8 @@ DIGESTS = {
     "g.json": "24e9edbecd223cca2f232e357e8ff51c47f9df9adaa4c5219af25d7b2bcb8331",
     "r0.json": "8fdc5e889cd5950c942f790becdee79d169f1a6f10394a94a76597404055b2fe",
     "r1.json": "d5a05729081280c9ee2a5a7f1c8884f6f953280e5496ae572d563a6c9d7f126b",
+    "p.json": "f91db213c3f45f25b5a31e69121e5beed7197694d87a18c5e2e415dfba46be1c",
+    "pt.json": "b167d80c8e8602a27eae759aed4ce3a9b1bbea5d39f767b3eeab06cde704eae2",
     "rf.json": "ffc9a96906bf6b5b9a649677ab0e9d5bd61bcfd41398b584707012d271b09538",
     "witness.json": "cc0af34dc54875362aca237bb8155793ee5ff8aeb1b548775cc4264c5a255f33",
     "witness_r.json": "6f3e87373906a433a8a297ef1caa945b6edebd3a98f1b963ac703305bf0fe1bd",

@@ -28,7 +28,7 @@ from reebedit.maps import CertificationError, verify_reeb_quotient
 from reebedit.plcore import PLFunction, SimplicialComplex
 from reebedit.reeb import compute_reeb, graph_identity_map
 
-from oracles import range_of
+from oracles import range_of, relabelled
 
 F = Fraction
 
@@ -385,17 +385,40 @@ def test_compose_couplings_bound_is_invariant_property(seed, nverts):
     )
     fs = (f, g, h)
     bounds = _coupling_bounds(cx, fs)
-    label = dict(zip(cx.vertices, rng.sample(range(2 * nverts), nverts)))
-    relabelled = SimplicialComplex.from_simplices(
-        tuple(sorted(label[v] for v in s)) for s in cx.maximal_simplices()
-    )
-    moved = [
-        PLFunction(relabelled, {label[v]: x for v, x in fn.values.items()})
-        for fn in fs
-    ]
-    assert _coupling_bounds(relabelled, moved) == bounds
+    assert _coupling_bounds(*relabelled(cx, fs, rng)) == bounds
     negated = [PLFunction(cx, {v: -x for v, x in fn.values.items()}) for fn in fs]
     assert _coupling_bounds(cx, negated) == bounds
     a, b = F(3, 2), F(-7, 3)
     affine = [PLFunction(cx, {v: a * x + b for v, x in fn.values.items()}) for fn in fs]
     assert _coupling_bounds(cx, affine) == tuple(a * x for x in bounds)
+
+
+def _homotopy_terms(cx, f, g):
+    z, cert = build_homotopy_zigzag(cx, f, g)
+    assert len(z.maps) == len(cert.lambdas) - 1
+    return cert.lambdas, cert.stage_gaps, cert.cost
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), nverts=st.integers(3, 5))
+def test_homotopy_certificate_is_metamorphic_property(seed, nverts):
+    cx, f, g = random_instance(
+        seed, nverts=nverts, value_range=(-4, 4), second_function=True
+    )
+    lambdas, gaps, cost = _homotopy_terms(cx, f, g)
+    # swapping f and g runs the homotopy backwards
+    backwards = (tuple(1 - t for t in reversed(lambdas)), gaps[::-1], cost)
+    assert _homotopy_terms(cx, g, f) == backwards
+    # negating both functions, or relabelling the vertices, keeps every term
+    negated = [PLFunction(cx, {v: -x for v, x in fn.values.items()}) for fn in (f, g)]
+    assert _homotopy_terms(cx, *negated) == (lambdas, gaps, cost)
+    moved_cx, moved = relabelled(cx, (f, g), random.Random(seed))
+    assert _homotopy_terms(moved_cx, *moved) == (lambdas, gaps, cost)
+    # x -> a x + b scales the gaps and the cost by a
+    a, b = F(3, 2), F(-7, 3)
+    affine = [
+        PLFunction(cx, {v: a * x + b for v, x in fn.values.items()}) for fn in (f, g)
+    ]
+    assert _homotopy_terms(cx, *affine) == (
+        lambdas, tuple(a * x for x in gaps), a * cost
+    )

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebedit.category import compose, limit_projection, pullback, triangulate_limit
-from reebedit.editdist import coupling
+from reebedit.editdist import build_homotopy_zigzag, compose_couplings, coupling
 from reebedit.generators import cylinder, random_instance
 from reebedit.graphs import ReebGraph, complexify, graph_isomorphic, minimalize
 from reebedit.maps import (
     CellMap,
     cellmap_from_hosting,
     restrict_cellmap,
+    slot_in,
     verify_reeb_quotient,
 )
 from reebedit.plcore import PLFunction, SimplicialComplex
@@ -27,10 +28,10 @@ def test_snap_turns_edge_into_end_node_at_its_level():
     g = ReebGraph({0: F(0), 1: F(2)}, [(0, 1)])
     cx = SimplicialComplex.from_simplices([(0, 1), (1, 2)])
     m = CellMap(cx, {0: F(0), 1: F(1), 2: F(2)}, g, {})
-    assert m.snap(("e", 0), m.slot_of(F(0))) == ("n", 0)
-    assert m.snap(("e", 0), m.slot_of(F(2))) == ("n", 1)
-    assert m.snap(("e", 0), m.slot_of(F(1))) == ("e", 0)
-    assert m.snap(("n", 0), m.slot_of(F(0))) == ("n", 0)
+    assert m.snap(("e", 0), slot_in(m.levels, F(0))) == ("n", 0)
+    assert m.snap(("e", 0), slot_in(m.levels, F(2))) == ("n", 1)
+    assert m.snap(("e", 0), slot_in(m.levels, F(1))) == ("e", 0)
+    assert m.snap(("n", 0), slot_in(m.levels, F(0))) == ("n", 0)
 
 
 def test_slots_and_cells_of_quotient():
@@ -48,7 +49,7 @@ def test_slots_and_cells_of_quotient():
             assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
             for slot, (a, b) in zip(slots, ranges):
                 assert lo <= a <= b <= hi
-                assert p.slot_of((a + b) / 2) == slot
+                assert slot_in(p.levels, (a + b) / 2) == slot
             # cell_at reads the slot assignment at any value of the range
             t = (lo + hi) / 2
             cell = cell_at(p, s, t)
@@ -154,6 +155,18 @@ def _hosted(edges, h, target, host):
                 ("fiber", "fiber over edge 0 at level 1 disconnected"),
             ],
         ),
+        (  # two disjoint edges onto one edge: the source's two components
+            # show as split fibers, so its connectivity needs no check
+            [(0, 1), (2, 3)],
+            {0: 0, 1: 1, 2: 0, 3: 1},
+            ReebGraph({0: F(0), 1: F(1)}, [(0, 1)]),
+            {(0,): ("n", 0), (2,): ("n", 0), (1,): ("n", 1), (3,): ("n", 1)},
+            [
+                ("fiber", "fiber over node 0 disconnected"),
+                ("fiber", "fiber over node 1 disconnected"),
+                ("fiber", "fiber over edge 0, gap (0,1) disconnected"),
+            ],
+        ),
     ],
 )
 def test_verifier_witnesses_are_exact(edges, h, target, host, want):
@@ -161,6 +174,23 @@ def test_verifier_witnesses_are_exact(edges, h, target, host, want):
     assert not cert.ok
     assert [(v.axiom, v.witness) for v in cert.violations] == want
     assert cert.summary() == "FAILED:\n" + "\n".join(f"[{a}] {w}" for a, w in want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), nverts=st.integers(3, 5))
+def test_every_certified_map_has_a_connected_source_property(seed, nverts):
+    # the certifier no longer checks the source's connectivity: its fiber
+    # checks imply it, on sweep maps, homotopy induced maps and the
+    # projections of a composed coupling alike
+    cx, f, g = random_instance(
+        seed, nverts=nverts, value_range=(-4, 4), second_function=True
+    )
+    p_f, p_g = (compute_reeb(cx, fn)[1] for fn in (f, g))
+    z, _ = build_homotopy_zigzag(cx, f, g)
+    composed = compose_couplings(coupling(p_f, p_g), coupling(p_g, p_f))
+    for m in [p_f, p_g, *(m for pair in z.maps + composed.maps for m in pair)]:
+        assert verify_reeb_quotient(m).ok
+        assert m.source.is_connected()
 
 
 def _one_edge_map(edits):
@@ -381,7 +411,7 @@ def _edge_map(cells, extra=()):
     m = CellMap(cx, h, ReebGraph({0: F(0), 1: F(2)}, [(0, 1), (0, 1)]), {})
     m.assignment = {
         (0,): {0: ("n", 0)},
-        (1,): {m.slot_of(F(2)): ("n", 1)},
+        (1,): {slot_in(m.levels, F(2)): ("n", 1)},
         (0, 1): dict(enumerate(cells)),
     }
     return m

@@ -8,6 +8,7 @@ from reebedit.graphs import GraphPoint, ReebGraph, point_on_edge
 from reebedit.metrics import (
     PLGraphMap,
     _cylinder_candidates,
+    _map_breakpoints,
     d_f,
     d_matrix,
     distortion,
@@ -235,3 +236,49 @@ def test_distortion_is_half_the_table_maximum(n):
         for p1, q1, p2, q2, d1, d2 in report.rows:
             assert d1 == d_f(phi.source, p1, p2)
             assert d2 == d_f(phi.target, q1, q2)
+
+
+# -- sampling on a graph with a node value inside an edge ---------------------
+#
+# Edge 0 of _FORK runs over [0, 2] and node 2 sits at value 1 on the other
+# edge, so 1 is a node value strictly inside edge 0's span.  Per-level
+# compute_reeb graphs never have one.
+
+_FORK = ReebGraph({0: F(0), 1: F(2), 2: F(1)}, [(0, 1), (2, 1)])
+
+
+def _fork_map() -> PLGraphMap:
+    # the edge [0, 2] rests on node 0 up to 1/2, climbs to value 3/2 on edge
+    # 0 by 3/2 (crossing the node value 1 at 7/6), then ends at node 1
+    line = ReebGraph({0: F(0), 1: F(2)}, [(0, 1)])
+    path = [
+        (F(0), GraphPoint(node=0)),
+        (F(1, 2), GraphPoint(node=0)),
+        (F(3, 2), GraphPoint(edge=0, t=F(3, 2))),
+        (F(2), GraphPoint(node=1)),
+    ]
+    ends = {0: GraphPoint(node=0), 1: GraphPoint(node=1)}
+    return PLGraphMap(line, _FORK, ends, {0: path})
+
+
+def test_sample_points_add_node_values_inside_an_edge():
+    nodes = [GraphPoint(node=n) for n in (0, 1, 2)]
+    assert sample_points(_FORK, 0) == nodes + [GraphPoint(edge=0, t=F(1))]
+
+
+def test_plgraphmap_reads_segment_ends_and_constant_segments():
+    phi = _fork_map()
+    # at the start of the path, inside the constant segment, and at the end
+    # of a segment
+    assert phi(GraphPoint(edge=0, t=F(0))) == GraphPoint(node=0)
+    assert phi(GraphPoint(edge=0, t=F(1, 4))) == GraphPoint(node=0)
+    assert phi(GraphPoint(edge=0, t=F(1, 2))) == GraphPoint(node=0)
+    assert phi(GraphPoint(edge=0, t=F(3, 2))) == GraphPoint(edge=0, t=F(3, 2))
+    # inside a climbing segment
+    assert phi(GraphPoint(edge=0, t=F(7, 6))) == GraphPoint(edge=0, t=F(1))
+
+
+def test_map_breakpoints_add_node_value_crossings_and_skip_flat_segments():
+    # the flat segment adds nothing; the climb crosses value 1 at u = 7/6
+    want = [GraphPoint(edge=0, t=u) for u in (F(1, 2), F(7, 6), F(3, 2))]
+    assert _map_breakpoints(_fork_map()) == want

@@ -43,9 +43,9 @@ def test_complex_closure_and_faces():
     assert (0, 1) in cx
     assert (1, 2) in cx
     assert (3,) in cx
-    assert sorted(cx.maximal_simplices()) == [(0, 1, 2), (2, 3)]
+    assert cx.maximal_simplices == ((0, 1, 2), (2, 3))
     assert cx.dimension == 2
-    assert sorted(cx.facets_of((0, 1, 2))) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(cx.facets[(0, 1, 2)]) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_complex_connectivity():

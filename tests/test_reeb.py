@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reebedit.generators import circle, cylinder, path, point, random_instance
-from reebedit.graphs import ReebGraph, graph_isomorphic, minimalize
+from reebedit.graphs import GraphPoint, ReebGraph, graph_isomorphic, minimalize
 from reebedit.maps import verify_reeb_quotient
+from reebedit.metrics import d_matrix, sample_points
 from reebedit.plcore import PLFunction, SimplicialComplex
 from reebedit.reeb import compute_reeb, graph_identity_map, reeb_of_graph
 
-from oracles import barycentric_subdivision, range_of
+from oracles import barycentric_subdivision, range_of, relabelled
 
 F = Fraction
 
@@ -159,3 +161,29 @@ def test_graph_identity_map_certified():
     g = ReebGraph({0: F(-1), 1: F(1)}, [(0, 1), (0, 1)])
     m = graph_identity_map(g)
     assert verify_reeb_quotient(m).ok
+
+
+def _flipped(g: ReebGraph) -> ReebGraph:
+    """g under the negated value function: every edge turns upside down."""
+    values = {n: -x for n, x in g.node_values.items()}
+    return ReebGraph(values, [(hi, lo) for lo, hi in g.edges])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), nverts=st.integers(3, 5))
+def test_minimal_reeb_graph_is_metamorphic_property(seed, nverts):
+    cx, f, _ = random_instance(seed, nverts=nverts, value_range=(-4, 4))
+    r = minimalize(compute_reeb(cx, f)[0])
+    # a vertex relabelling gives an isomorphic graph
+    moved, (moved_f,) = relabelled(cx, (f,), random.Random(seed))
+    r_moved = minimalize(compute_reeb(moved, moved_f)[0])
+    assert graph_isomorphic(r_moved, r) is not None
+    # negation gives the flipped graph, with the same distances between
+    # the flipped points
+    negated = PLFunction(cx, {v: -x for v, x in f.values.items()})
+    flipped = _flipped(r)
+    r_negated = minimalize(compute_reeb(cx, negated)[0])
+    assert graph_isomorphic(r_negated, flipped) is not None
+    points = sample_points(r, 1)
+    turned = [p if p.is_node else GraphPoint(edge=p.edge, t=-p.t) for p in points]
+    assert d_matrix(flipped, turned) == d_matrix(r, points)
